@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -69,10 +70,11 @@ def _fmt(value: float) -> str:
     return "%.17g" % float(value)
 
 
-def _write_atomic(path: str, text: str) -> None:
+def _write_atomic(path: str, parts: list[str]) -> None:
+    """Write the concatenation of ``parts`` to ``path`` atomically."""
     tmp = path + ".tmp"
     with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+        handle.writelines(parts)
     os.replace(tmp, path)
 
 
@@ -124,27 +126,40 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
-def _solution_rows(name: str, scenario: Scenario, sol) -> list[str]:
+_POINT_ROW = ",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
+# No right value, integrand, interval charge or right jump after the horizon.
+_TERMINAL_ROW = ",%.17g,,,,%.17g,\n"
+
+
+def _solution_rows(name: str, scenario: Scenario, sol) -> str:
+    """The ``results.csv`` rows of one solved scenario, as one text block.
+
+    Each level is formatted column-wise: its arrays become Python floats
+    once, and one ``%`` template per level renders every node of it.
+    """
     tree = scenario.tree
     times = tree.grid.times()
-    rows = []
+    value, k = sol.value, sol.increments
+    blocks = []
     for level in range(tree.depth + 1):
-        last = level == tree.depth
-        for node in range(tree.n_nodes(level)):
-            cells = [
-                name,
-                str(level),
-                str(node),
-                _fmt(times[level]),
-                _fmt(sol.value.point[level][node]),
-                "" if last else _fmt(sol.value.right[level][node]),
-                "" if last else _fmt(sol.integrand[level][node]),
-                "" if last else _fmt(sol.increments.interval[level][node]),
-                _fmt(sol.increments.left[level][node]),
-                "" if last else _fmt(sol.increments.right[level][node]),
-            ]
-            rows.append(",".join(cells))
-    return rows
+        if level == tree.depth:
+            columns = (value.point[level], k.left[level])
+            cells = _TERMINAL_ROW
+        else:
+            columns = (
+                value.point[level],
+                value.right[level],
+                sol.integrand[level],
+                k.interval[level],
+                k.left[level],
+                k.right[level],
+            )
+            cells = _POINT_ROW
+        prefix = f"{name},{level},".replace("%", "%%")
+        template = prefix + "%d," + _fmt(times[level]) + cells
+        rows = zip(range(tree.n_nodes(level)), *(column.tolist() for column in columns))
+        blocks.append("".join(map(template.__mod__, rows)))
+    return "".join(blocks)
 
 
 def _solve_scenarios(cfg: configparser.ConfigParser, seed: int) -> list[Scenario]:
@@ -224,17 +239,15 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
         return ok, _solution_rows(scenario.name, scenario, sol), summary
 
     results = _map_ordered(work, list(enumerate(scenarios)), jobs)
-    header = "scenario,level,node,time,y_point,y_right,z,k_interval,k_left,k_right"
-    rows = [header]
-    for _, node_rows, _ in results:
-        rows.extend(node_rows)
-    _write_atomic(os.path.join(out_dir, "results.csv"), "\n".join(rows) + "\n")
+    header = "scenario,level,node,time,y_point,y_right,z,k_interval,k_left,k_right\n"
+    blocks = [header] + [block for _, block, _ in results]
+    _write_atomic(os.path.join(out_dir, "results.csv"), blocks)
     summary_header = (
         "scenario,scale,dynamics_residual,domination_margin,minimality_continuous,"
         "minimality_right_jump,negative_charge,route_gap,status"
     )
     summary = [summary_header] + [entry for _, _, entry in results]
-    _write_atomic(os.path.join(out_dir, "summary.csv"), "\n".join(summary) + "\n")
+    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(summary) + "\n"])
     return all(ok for ok, _, _ in results)
 
 
@@ -280,7 +293,7 @@ def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bo
 
     results = _map_ordered(work, list(range(count)), jobs)
     lines = ["scenario,check,deviation,threshold,status"] + [row for _, row in results]
-    _write_atomic(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
     return all(ok for ok, _ in results)
 
 
@@ -335,10 +348,10 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
 
     results = _map_ordered(work, list(enumerate(scenarios)), jobs)
     for _, index, table, _ in results:
-        _write_atomic(os.path.join(out_dir, f"study_{index:03d}.csv"), table)
+        _write_atomic(os.path.join(out_dir, f"study_{index:03d}.csv"), [table])
     lines = ["scenario,final_n,final_sup_gap_Y,monotonicity_violation,rate,status"]
     lines += [summary for _, _, _, summary in results]
-    _write_atomic(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
     return all(ok for ok, _, _, _ in results)
 
 
@@ -379,11 +392,11 @@ def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
 
     results = _map_ordered(work, list(range(count)), jobs)
     for index, (_, path_csv, _) in enumerate(results):
-        _write_atomic(os.path.join(out_dir, f"path_{index:03d}.csv"), path_csv)
+        _write_atomic(os.path.join(out_dir, f"path_{index:03d}.csv"), [path_csv])
     lines = ["path,check,value,status"]
     for _, _, rows in results:
         lines.extend(rows)
-    _write_atomic(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
     return all(ok for ok, _, _ in results)
 
 
@@ -432,7 +445,7 @@ def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> b
     results = _map_ordered(work, list(range(count)), jobs)
     lines = ["pair,kind,reason,y_violation,dk_interval,dk_left,dk_right,status"]
     lines += [row for _, row in results]
-    _write_atomic(os.path.join(out_dir, "summary.csv"), "\n".join(lines) + "\n")
+    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
     return all(ok for ok, _ in results)
 
 
@@ -456,8 +469,14 @@ def run_experiment(
     """Execute one configured experiment and write its artifacts.
 
     Returns the process exit status: zero when every asserted invariant
-    passed, one otherwise.  Config and numerical errors raise.
+    passed, one otherwise.  Config and numerical errors raise, as do a
+    worker count below one and a tolerance scale that is not a finite
+    positive number.
     """
+    if int(jobs) < 1:
+        raise ValueError(f"jobs must be at least 1, got {jobs}")
+    if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
+        raise ValueError(f"tolerance scale must be finite and positive, got {tolerance_scale}")
     cfg = load_config(config_path)
     kind = cfg["experiment"]["kind"]
     if verb is not None and verb != kind:

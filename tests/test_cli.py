@@ -3,9 +3,11 @@ import textwrap
 import numpy as np
 import pytest
 
+from rbsdelab import cli
 from rbsdelab.cli import emit_convergence_table, fit_rate, main, run_experiment
 from rbsdelab.penalization import ConvergenceStudy, convergence_study
-from rbsdelab.scenarios import random_scenario
+from rbsdelab.rbsde import solve_reflected_direct
+from rbsdelab.scenarios import load_config, random_scenario
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -22,6 +24,55 @@ def read_rows(path):
 
 def tree_of_files(out_dir):
     return {p.name: p.read_bytes() for p in sorted(out_dir.iterdir())}
+
+
+def reference_solution_rows(name, scenario, sol):
+    """The per-node ``results.csv`` formatter the column-wise one must match."""
+    tree = scenario.tree
+    times = tree.grid.times()
+    rows = []
+    for level in range(tree.depth + 1):
+        last = level == tree.depth
+        for node in range(tree.n_nodes(level)):
+            cells = [
+                name,
+                str(level),
+                str(node),
+                "%.17g" % float(times[level]),
+                "%.17g" % float(sol.value.point[level][node]),
+                "" if last else "%.17g" % float(sol.value.right[level][node]),
+                "" if last else "%.17g" % float(sol.integrand[level][node]),
+                "" if last else "%.17g" % float(sol.increments.interval[level][node]),
+                "%.17g" % float(sol.increments.left[level][node]),
+                "" if last else "%.17g" % float(sol.increments.right[level][node]),
+            ]
+            rows.append(",".join(cells))
+    return rows
+
+
+SOLVE_HEADER = "scenario,level,node,time,y_point,y_right,z,k_interval,k_left,k_right"
+
+RANDOM_BATCH = """\
+    [experiment]
+    kind = solve
+    depth = 3
+    count = 4
+    seed = 11
+    method = both
+    """
+
+CONFIGURED_SINGLE_STEP = """\
+    [experiment]
+    kind = solve
+    depth = 1
+    method = direct
+
+    [scenario]
+    generator = zero
+    barrier_point = 5 ; 0, 0
+    barrier_right = 0
+    terminal = 0, 0
+    """
 
 
 class TestFitRate:
@@ -63,17 +114,7 @@ class TestEmitTable:
 
 class TestSolveVerb:
     def test_random_batch_passes(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            """\
-            [experiment]
-            kind = solve
-            depth = 3
-            count = 4
-            seed = 11
-            method = both
-            """,
-        )
+        config = write_config(tmp_path, RANDOM_BATCH)
         out = tmp_path / "out"
         assert run_experiment(config, str(out)) == 0
         summary = read_rows(out / "summary.csv")
@@ -84,21 +125,7 @@ class TestSolveVerb:
         assert len(results) == 60
 
     def test_configured_single_step_scenario(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            """\
-            [experiment]
-            kind = solve
-            depth = 1
-            method = direct
-
-            [scenario]
-            generator = zero
-            barrier_point = 5 ; 0, 0
-            barrier_right = 0
-            terminal = 0, 0
-            """,
-        )
+        config = write_config(tmp_path, CONFIGURED_SINGLE_STEP)
         out = tmp_path / "out"
         assert run_experiment(config, str(out)) == 0
         results = read_rows(out / "results.csv")
@@ -110,6 +137,22 @@ class TestSolveVerb:
         summary = read_rows(out / "summary.csv")
         assert summary[0]["scenario"] == "configured-000"
         assert summary[0]["status"] == "pass"
+
+    @pytest.mark.parametrize(
+        "text", [RANDOM_BATCH, CONFIGURED_SINGLE_STEP], ids=["random-batch", "configured-depth-1"]
+    )
+    def test_results_bytes_match_the_per_node_reference(self, tmp_path, text):
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_experiment(config, str(out), jobs=2) == 0
+        cfg = load_config(config)
+        rows = [SOLVE_HEADER]
+        for scenario in cli._solve_scenarios(cfg, cfg["experiment"].getint("seed", 0)):
+            sol = solve_reflected_direct(
+                scenario.terminal, scenario.gen, scenario.driver, scenario.barrier
+            )
+            rows.extend(reference_solution_rows(scenario.name, scenario, sol))
+        assert (out / "results.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_config(
@@ -293,6 +336,31 @@ class TestErrorHandling:
         )
         code = main(["solve", "--config", config, "--out-dir", str(tmp_path / "o")])
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--jobs", "0"),
+            ("--jobs", "-3"),
+            ("--tolerance-scale", "inf"),
+            ("--tolerance-scale", "0"),
+            ("--tolerance-scale", "-1"),
+            ("--tolerance-scale", "nan"),
+        ],
+    )
+    def test_invalid_jobs_or_tolerance_scale_is_a_usage_error(
+        self, tmp_path, monkeypatch, capsys, flag, value
+    ):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started")
+
+        monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
+        config = write_config(tmp_path, RANDOM_BATCH)
+        out = tmp_path / "o"
+        code = main(["solve", "--config", config, "--out-dir", str(out), flag, value])
+        assert code == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_verb_is_required(self):
         with pytest.raises(SystemExit):
