@@ -10,10 +10,14 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import math
 import os
 import sys
+from collections import deque
+from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from itertools import islice
 
 import numpy as np
 
@@ -70,11 +74,20 @@ def _fmt(value: float) -> str:
     return "%.17g" % float(value)
 
 
-def _write_atomic(path: str, parts: list[str]) -> None:
-    """Write the concatenation of ``parts`` to ``path`` atomically."""
+def _write_atomic(path: str, parts: Iterable[str]) -> None:
+    """Write the concatenation of ``parts`` to ``path`` atomically.
+
+    ``parts`` is consumed while the file is written.  If writing or the
+    iterable raises, the temporary file is removed and ``path`` is untouched.
+    """
     tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
-        handle.writelines(parts)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(parts)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
     os.replace(tmp, path)
 
 
@@ -83,11 +96,23 @@ def _scenario_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def _map_ordered(fn, items, jobs: int) -> list:
+def _map_ordered(fn, items, jobs: int) -> Iterator:
+    """Yield ``fn(item)`` for every item, in input order, as results arrive.
+
+    At most ``jobs`` items are started and not yet yielded, so finished
+    results never pile up behind a slow earlier one; the memory held at once
+    does not depend on how the workers happen to be scheduled.
+    """
     if jobs <= 1:
-        return [fn(item) for item in items]
+        yield from map(fn, items)
+        return
+    items = iter(items)
     with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
+        pending = deque(pool.submit(fn, item) for item in islice(items, jobs))
+        while pending:
+            result = pending.popleft().result()
+            pending.extend(pool.submit(fn, item) for item in islice(items, 1))
+            yield result
 
 
 def fit_rate(levels, gaps) -> float | None:
@@ -238,17 +263,24 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
         )
         return ok, _solution_rows(scenario.name, scenario, sol), summary
 
-    results = _map_ordered(work, list(enumerate(scenarios)), jobs)
-    header = "scenario,level,node,time,y_point,y_right,z,k_interval,k_left,k_right\n"
-    blocks = [header] + [block for _, block, _ in results]
-    _write_atomic(os.path.join(out_dir, "results.csv"), blocks)
+    outcomes = []
+
+    def parts():
+        # A block is written once its scenario and all earlier ones are done,
+        # not held until the last scenario ends.
+        yield "scenario,level,node,time,y_point,y_right,z,k_interval,k_left,k_right\n"
+        for ok, block, summary in _map_ordered(work, enumerate(scenarios), jobs):
+            outcomes.append((ok, summary))
+            yield block
+
+    _write_atomic(os.path.join(out_dir, "results.csv"), parts())
     summary_header = (
         "scenario,scale,dynamics_residual,domination_margin,minimality_continuous,"
         "minimality_right_jump,negative_charge,route_gap,status"
     )
-    summary = [summary_header] + [entry for _, _, entry in results]
+    summary = [summary_header] + [entry for _, entry in outcomes]
     _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(summary) + "\n"])
-    return all(ok for ok, _, _ in results)
+    return all(ok for ok, _ in outcomes)
 
 
 def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
@@ -291,7 +323,7 @@ def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bo
         row = ",".join([scenario.name, check, _fmt(dev), _fmt(threshold), _status(ok)])
         return ok, row
 
-    results = _map_ordered(work, list(range(count)), jobs)
+    results = list(_map_ordered(work, range(count), jobs))
     lines = ["scenario,check,deviation,threshold,status"] + [row for _, row in results]
     _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
     return all(ok for ok, _ in results)
@@ -346,7 +378,7 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
         )
         return ok, index, table, summary
 
-    results = _map_ordered(work, list(enumerate(scenarios)), jobs)
+    results = list(_map_ordered(work, enumerate(scenarios), jobs))
     for _, index, table, _ in results:
         _write_atomic(os.path.join(out_dir, f"study_{index:03d}.csv"), [table])
     lines = ["scenario,final_n,final_sup_gap_Y,monotonicity_violation,rate,status"]
@@ -390,7 +422,7 @@ def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
             add(f"jump_terms_p{p:g}", worst, worst >= -EXACTNESS_TOL * tol_scale)
         return ok, serialize_path_csv(path), rows
 
-    results = _map_ordered(work, list(range(count)), jobs)
+    results = list(_map_ordered(work, range(count), jobs))
     for index, (_, path_csv, _) in enumerate(results):
         _write_atomic(os.path.join(out_dir, f"path_{index:03d}.csv"), [path_csv])
     lines = ["path,check,value,status"]
@@ -442,7 +474,7 @@ def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> b
         )
         return ok, row
 
-    results = _map_ordered(work, list(range(count)), jobs)
+    results = list(_map_ordered(work, range(count), jobs))
     lines = ["pair,kind,reason,y_violation,dk_interval,dk_left,dk_right,status"]
     lines += [row for _, row in results]
     _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rbsdelab import bsde
 from rbsdelab.bsde import (
     GeneratorSpec,
     SolverError,
@@ -233,6 +235,98 @@ class TestImplicitStep:
         gen = make_generator("linear:12.0,0.0")
         with pytest.raises(SolverError, match="not solvable"):
             implicit_interval_step(gen, 0.0, np.ones(1), np.zeros(1), 0.1)
+
+    def test_nan_input_raises(self):
+        gen = make_generator("monotone_cubic:0.0")
+        with pytest.raises(SolverError, match="failed to converge"):
+            implicit_interval_step(gen, 0.0, np.array([40.0, np.nan]), np.zeros(2), 0.5)
+
+    def test_generator_without_a_root_fails_to_converge(self):
+        # y = cond - sign(y)/2 has no solution for 0 < cond < 1/2
+        gen = GeneratorSpec("jump", lambda t, y, z: -np.sign(y), 0.0, 0.0)
+        with pytest.raises(SolverError, match="failed to converge"):
+            implicit_interval_step(gen, 0.0, np.array([0.001, 0.3]), np.zeros(2), 0.5)
+
+    def test_bisection_stops_once_the_bracket_is_still(self):
+        cubic = make_generator("monotone_cubic:0.0")
+        evaluations = 0
+
+        def counted(t, y, z):
+            nonlocal evaluations
+            evaluations += 1
+            return cubic.fn(t, y, z)
+
+        gen = GeneratorSpec("counted-cubic", counted, 0.0, 0.0)
+        implicit_interval_step(gen, 0.0, np.array([40.0]), np.zeros(1), 0.5)
+        # running all 130 halvings costs 137 evaluations on this input
+        assert evaluations < 100
+
+
+def full_bisection(update, gen, start, dt):
+    """Reference: the bisection with all 130 halvings and no early exit."""
+    slope = 1.0 - max(0.0, gen.monotone_y) * dt
+    width = np.abs(start - update(start)) / slope + 1.0
+    lo = start - width
+    hi = start + width
+    for _ in range(130):
+        mid = 0.5 * (lo + hi)
+        below = mid - update(mid) <= 0.0
+        lo = np.where(below, mid, lo)
+        hi = np.where(below, hi, mid)
+    return 0.5 * (lo + hi)
+
+
+def step_with_reference(monkeypatch, gen, cond, dt, **kwargs):
+    """An implicit step that must fall back to bisection, and its reference."""
+    captured = []
+    bisect = bsde._bisect_step
+
+    def spy(update, gen_, start, dt_, t, scale):
+        captured.append((update, start))
+        return bisect(update, gen_, start, dt_, t, scale)
+
+    monkeypatch.setattr(bsde, "_bisect_step", spy)
+    y = implicit_interval_step(gen, 0.0, cond, np.zeros_like(cond), dt, **kwargs)
+    assert len(captured) == 1, "the step did not fall back to bisection"
+    update, start = captured[0]
+    return y, full_bisection(update, gen, start, dt)
+
+
+def steep_data(rng, scale, size, form):
+    # node 0 is steep and above its floor, so the fixed point diverges
+    cond = scale * rng.standard_normal(size)
+    cond[0] = scale
+    kwargs = {}
+    if form != "plain":
+        kwargs["floor"] = rng.uniform(-5.0, 5.0, size)
+        kwargs["floor"][0] = -scale
+    if form == "penalty":
+        kwargs["penalty"] = 64.0
+    return cond, kwargs
+
+
+class TestBisectionEarlyExit:
+    @pytest.mark.parametrize("size", [1, 4096])
+    @pytest.mark.parametrize("form", ["plain", "floor", "penalty"])
+    def test_matches_all_130_halvings_bit_for_bit(self, monkeypatch, form, size):
+        cond, kwargs = steep_data(np.random.default_rng(size), 30.0, size, form)
+        gen = make_generator("monotone_cubic:0.5")
+        y, reference = step_with_reference(monkeypatch, gen, cond, 0.5, **kwargs)
+        assert y.tobytes() == reference.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scale=st.floats(min_value=5.0, max_value=300.0),
+        mu=st.floats(min_value=-2.0, max_value=1.9),
+        form=st.sampled_from(["plain", "floor", "penalty"]),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_matches_all_130_halvings_over_scale_and_mu(self, scale, mu, form, seed):
+        cond, kwargs = steep_data(np.random.default_rng(seed), scale, 64, form)
+        gen = make_generator(f"monotone_cubic:{mu!r}")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            y, reference = step_with_reference(monkeypatch, gen, cond, 0.5, **kwargs)
+        assert y.tobytes() == reference.tobytes()
 
 
 class TestExponentialTransform:

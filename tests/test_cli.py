@@ -1,9 +1,11 @@
 import textwrap
+import time
 
 import numpy as np
 import pytest
 
 from rbsdelab import cli
+from rbsdelab.bsde import SolverError
 from rbsdelab.cli import emit_convergence_table, fit_rate, main, run_experiment
 from rbsdelab.penalization import ConvergenceStudy, convergence_study
 from rbsdelab.rbsde import solve_reflected_direct
@@ -153,6 +155,37 @@ class TestSolveVerb:
             )
             rows.extend(reference_solution_rows(scenario.name, scenario, sol))
         assert (out / "results.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    def test_failing_scenario_leaves_no_results_file(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, RANDOM_BATCH)
+        out = tmp_path / "out"
+        writing = []
+        solution_rows = cli._solution_rows
+
+        def failing_rows(name, scenario, sol):
+            if name == "random-003":
+                writing.append((out / "results.csv.tmp").exists())
+                raise SolverError("planted failure")
+            return solution_rows(name, scenario, sol)
+
+        monkeypatch.setattr(cli, "_solution_rows", failing_rows)
+        code = main(["solve", "--config", config, "--out-dir", str(out), "--jobs", "2"])
+        assert code == 2
+        # results.csv was already being written when the scenario failed
+        assert writing == [True]
+        assert not (out / "results.csv").exists()
+        assert not (out / "results.csv.tmp").exists()
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_ordered_map_starts_at_most_jobs_items_ahead(self, jobs):
+        started = []
+        results = cli._map_ordered(lambda item: started.append(item) or item, range(12), jobs)
+        for expected in range(12):
+            assert next(results) == expected
+            # give idle workers time to start anything already handed to them
+            time.sleep(0.02)
+            assert len(started) <= expected + 1 + jobs
+        assert sorted(started) == list(range(12))
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_config(
