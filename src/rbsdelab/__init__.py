@@ -34,7 +34,6 @@ from .snell import (
 )
 from .bsde import (
     GeneratorSpec,
-    BsdePair,
     SolverError,
     make_generator,
     table_generator,
@@ -98,7 +97,6 @@ __all__ = [
     "brute_force_snell",
     "verify_minimality",
     "GeneratorSpec",
-    "BsdePair",
     "SolverError",
     "make_generator",
     "table_generator",

@@ -1,11 +1,14 @@
-"""Backward solver for the unreflected equation with a regulated driver.
+"""The package's one backward sweep, and the unreflected equation it solves.
 
 The interval step is implicit in y: each level solves the scalar fixed point
 y = E + f(t, y, z) dt per node, which is contractive when the generator's
 y-variation over a step stays below one.  Left jumps of the driver are folded
 into the conditional-expectation input, right jumps are added back at the
 point, and the integrand Z comes from the exact one-step martingale
-representation.
+representation.  :func:`backward_sweep` optionally reflects on a floor
+inside the intervals (or penalizes below it) and on a floor at the points;
+the unreflected, reflected and penalized solvers and the Snell envelope are
+all calls of it.
 """
 
 from __future__ import annotations
@@ -15,18 +18,18 @@ from typing import Callable
 
 import numpy as np
 
-from .snell import KIncrements
-from .tree_space import AdaptedRegulatedProcess, TreeSpace
+from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace
 
 __all__ = [
     "SolverError",
     "GeneratorSpec",
-    "BsdePair",
+    "SolutionTriple",
     "make_generator",
     "table_generator",
     "validate_generator",
+    "backward_sweep",
     "solve_bsde",
-    "bsde_dynamics_residual",
+    "dynamics_residual",
     "TransformedProblem",
     "exponential_transform",
 ]
@@ -59,11 +62,12 @@ class GeneratorSpec:
 
 
 @dataclass
-class BsdePair:
-    """Solution pair of the unreflected equation."""
+class SolutionTriple:
+    """Value process, representation integrand, and reflection charges."""
 
     value: AdaptedRegulatedProcess
     integrand: list[np.ndarray]
+    increments: KIncrements
 
 
 def make_generator(spec: str) -> GeneratorSpec:
@@ -172,7 +176,6 @@ def implicit_interval_step(
     dt: float,
     floor: np.ndarray | None = None,
     penalty: float = 0.0,
-    init: np.ndarray | None = None,
 ) -> np.ndarray:
     """Solve y = cond + f(t, y, z) dt (+ reflection or penalty) per node.
 
@@ -205,7 +208,7 @@ def implicit_interval_step(
             return np.maximum(drift, floor)
         return drift
 
-    start = cond.copy() if init is None else init.copy()
+    start = cond.copy()
     scale = max(1.0, float(np.max(np.abs(cond))), float(np.max(np.abs(floor))) if floor is not None else 0.0)
     y = start
     prev_err = np.inf
@@ -249,12 +252,85 @@ def _bisect_step(update, gen: GeneratorSpec, start: np.ndarray, dt: float, t: fl
     return y
 
 
+def backward_sweep(
+    terminal: np.ndarray,
+    gen: GeneratorSpec,
+    driver: AdaptedRegulatedProcess,
+    floor: list[np.ndarray] | None = None,
+    point_floor: list[np.ndarray] | None = None,
+    penalty: float = 0.0,
+) -> SolutionTriple:
+    """Backward sweep from the terminal payoff with up to three floors.
+
+    Each level takes the sibling mean and the integrand Z of the next point
+    values plus the driver's left jumps, then solves the implicit interval
+    step.  ``floor[i]`` constrains Y on (t_i, t_{i+1}): without a penalty Y
+    is reflected on it, and the charge up to (floor - E)^+ is booked as the
+    predictable left jump at t_{i+1}, the remainder as interval charge.  A
+    positive ``penalty`` n replaces that reflection by the linear penalty
+    n*dt*(floor - y)^+, which never reflects at left limits, so all of its
+    charge is interval charge.  The driver's right jump is then added, and
+    ``point_floor[i]`` (one array per level, the terminal one included)
+    reflects the point value with a right-jump charge; the payoff must
+    dominate its terminal row.  Without floors this is the unreflected
+    equation and every charge is zero.
+
+    Raises
+    ------
+    ValueError
+        If the payoff has the wrong number of leaves, fails to dominate the
+        terminal point floor, or the generator breaks the contraction
+        precondition.
+    """
+    tree = driver.tree
+    check_contraction(gen, tree)
+    n = tree.depth
+    dt = tree.dt
+    xi = np.asarray(terminal, dtype=float)
+    if xi.shape[0] != tree.n_nodes(n):
+        raise ValueError("terminal payoff has the wrong number of leaves")
+    if point_floor is not None:
+        gap = float(np.min(xi - point_floor[n]))
+        if gap < 0.0:
+            raise ValueError(f"terminal payoff fails to dominate the barrier by {-gap:.3e}")
+
+    point: list[np.ndarray | None] = [None] * (n + 1)
+    right: list[np.ndarray | None] = [None] * n
+    integrand: list[np.ndarray | None] = [None] * n
+    k = KIncrements.zeros(tree)
+    point[n] = xi.copy()
+    for i in range(n - 1, -1, -1):
+        w = point[i + 1] + driver.delta_minus(i + 1)
+        cond = w.reshape(-1, 2).mean(axis=1)
+        z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
+        t = tree.time(i)
+        level_floor = None if floor is None else floor[i]
+        y = implicit_interval_step(gen, t, cond, z, dt, floor=level_floor, penalty=penalty)
+        if level_floor is not None:
+            total = np.maximum(y - cond - gen(t, y, z) * dt, 0.0)
+            if penalty > 0.0:
+                k.interval[i] = total
+            else:
+                left = np.minimum(np.maximum(level_floor - cond, 0.0), total)
+                k.left[i + 1] = np.repeat(left, 2)
+                k.interval[i] = total - left
+        integrand[i] = z
+        right[i] = y
+        up = y + driver.delta_plus(i)
+        if point_floor is None:
+            point[i] = up
+        else:
+            k.right[i] = np.maximum(point_floor[i] - up, 0.0)
+            point[i] = np.maximum(up, point_floor[i])
+    value = AdaptedRegulatedProcess(tree, point, right)
+    return SolutionTriple(value=value, integrand=integrand, increments=k)
+
+
 def solve_bsde(
     terminal: np.ndarray,
     gen: GeneratorSpec,
     driver: AdaptedRegulatedProcess,
-    init: str = "expectation",
-) -> BsdePair:
+) -> SolutionTriple:
     """Backward sweep for the unreflected equation with driver increments.
 
     Parameters
@@ -264,51 +340,48 @@ def solve_bsde(
     driver : AdaptedRegulatedProcess
         Finite-variation forcing V; only its jumps act because it is constant
         on open intervals.
-    init : {"expectation", "zero"}
-        Starting point of the per-level fixed-point iteration; the solution
-        is independent of this choice up to the iteration tolerance.
+
+    Returns
+    -------
+    SolutionTriple
+        The solution pair with identically zero charges.
     """
-    tree = driver.tree
-    check_contraction(gen, tree)
-    n = tree.depth
-    xi = np.asarray(terminal, dtype=float)
-    if xi.shape[0] != tree.n_nodes(n):
-        raise ValueError("terminal payoff has the wrong number of leaves")
-
-    point: list[np.ndarray | None] = [None] * (n + 1)
-    right: list[np.ndarray | None] = [None] * n
-    integrand: list[np.ndarray | None] = [None] * n
-    point[n] = xi.copy()
-    for i in range(n - 1, -1, -1):
-        w = point[i + 1] + driver.delta_minus(i + 1)
-        cond = w.reshape(-1, 2).mean(axis=1)
-        z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
-        start = np.zeros_like(cond) if init == "zero" else None
-        y = implicit_interval_step(gen, tree.time(i), cond, z, tree.dt, init=start)
-        integrand[i] = z
-        right[i] = y
-        point[i] = y + driver.delta_plus(i)
-    return BsdePair(value=AdaptedRegulatedProcess(tree, point, right), integrand=integrand)
+    return backward_sweep(terminal, gen, driver)
 
 
-def bsde_dynamics_residual(
-    pair: BsdePair,
+def dynamics_residual(
+    trip: SolutionTriple,
     terminal: np.ndarray,
     gen: GeneratorSpec,
     driver: AdaptedRegulatedProcess,
 ) -> float:
-    """Largest pathwise defect of the backward dynamics over all nodes."""
-    tree = pair.value.tree
-    y = pair.value
-    worst = float(np.max(np.abs(y.point[tree.depth] - np.asarray(terminal, dtype=float))))
+    """Largest pathwise defect of the backward dynamics, terminal included.
+
+    Replays every step from the stored fields of ``trip``: the value just
+    after t_i against the next point values, the driver's jumps, the charges
+    and the noise, and the point value against the right value, the driver's
+    right jump and the right-jump charge.
+    """
+    tree = trip.value.tree
+    y = trip.value
+    z = trip.integrand
+    k = trip.increments
+    xi = np.asarray(terminal, dtype=float)
+
+    worst = float(np.max(np.abs(y.point[tree.depth] - xi)))
     for i in range(tree.depth):
-        w = y.point[i + 1] + driver.delta_minus(i + 1)
-        z_rep = np.repeat(pair.integrand[i], 2)
-        noise = z_rep * tree.sqrt_dt * tree.edge_signs(i + 1)
-        f_val = gen(tree.time(i), y.right[i], pair.integrand[i])
-        recon = w - noise + np.repeat(f_val, 2) * tree.dt
+        t = tree.time(i)
+        f_val = np.asarray(gen(t, y.right[i], z[i]), dtype=float)
+        parent_part = f_val * tree.dt + k.interval[i]
+        recon = (
+            y.point[i + 1]
+            + driver.delta_minus(i + 1)
+            + k.left[i + 1]
+            + np.repeat(parent_part, 2)
+            - np.repeat(z[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
+        )
         worst = max(worst, float(np.max(np.abs(np.repeat(y.right[i], 2) - recon))))
-        point_recon = y.right[i] + driver.delta_plus(i)
+        point_recon = y.right[i] + driver.delta_plus(i) + k.right[i]
         worst = max(worst, float(np.max(np.abs(y.point[i] - point_recon))))
     return worst
 
@@ -374,7 +447,7 @@ def exponential_transform(
     gen: GeneratorSpec,
     driver: AdaptedRegulatedProcess,
     barrier: AdaptedRegulatedProcess | None = None,
-    solution: object | None = None,
+    solution: SolutionTriple | None = None,
 ) -> TransformedProblem:
     """Map a problem and optionally its solution through y -> exp(a t) y.
 
@@ -382,9 +455,9 @@ def exponential_transform(
     which keeps the z-Lipschitz constant and shifts the y-monotonicity
     constant down by ``rate``.  Driver jumps scale by the factor at their own
     instant; barrier interval values scale by the factor at the interval's
-    left end.  ``solution`` may be a BsdePair or a reflected triple; its
-    components are scaled the same way (increments of the reflecting process
-    by the factor at the instant they charge).  The scaled candidate solves
+    left end.  The components of ``solution`` are scaled the same way
+    (increments of the reflecting process by the factor at the instant they
+    charge).  The scaled candidate solves
     the transformed problem up to a first-order defect in the step size.
     """
     tree = driver.tree
@@ -407,16 +480,13 @@ def exponential_transform(
     driver_t = _scale_driver(driver, a)
     barrier_t = _scale_process_by_time(barrier, a) if barrier is not None else None
 
-    value = getattr(solution, "value", None)
-    integrand = getattr(solution, "integrand", None)
-    increments = getattr(solution, "increments", None)
-    value_t = _scale_process_by_time(value, a) if value is not None else None
-    integrand_t = None
-    if integrand is not None:
+    value_t = integrand_t = increments_t = None
+    if solution is not None:
+        value_t = _scale_process_by_time(solution.value, a)
         integrand_t = [
-            integrand[i] * float(np.exp(a * tree.time(i))) for i in range(tree.depth)
+            solution.integrand[i] * float(np.exp(a * tree.time(i))) for i in range(tree.depth)
         ]
-    increments_t = _scale_increments(increments, a) if increments is not None else None
+        increments_t = _scale_increments(solution.increments, a)
     return TransformedProblem(
         rate=a,
         terminal=xi_t,

@@ -14,15 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bsde import GeneratorSpec, check_contraction, implicit_interval_step
-from .rbsde import (
-    SolutionTriple,
-    barrier_transform,
-    default_lower_bound,
-    solve_reflected_direct,
-)
-from .snell import KIncrements
-from .tree_space import AdaptedRegulatedProcess, TreeSpace
+from .bsde import GeneratorSpec, SolutionTriple, backward_sweep
+from .rbsde import barrier_transform, default_lower_bound, solve_reflected_direct
+from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace
 
 __all__ = [
     "SigmaArray",
@@ -136,53 +130,36 @@ def solve_penalized(
     No reflection acts at left limits.  The interval step absorbs the
     penalty n(y - L(t_i+))^- in closed form inside the implicit solve.  In
     the modified scheme, right jumps are corrected at detection nodes by
-    clamping to the barrier's point value; the classic scheme never
+    reflecting on the barrier's point value; the classic scheme never
     corrects.
+
+    Raises
+    ------
+    ValueError
+        If ``n`` is below 1 or the scheme is unknown.
     """
+    if n < 1:
+        raise ValueError(f"penalty level must be a positive integer, got {n}")
     if scheme not in ("modified", "classic"):
         raise ValueError(f"unknown penalization scheme {scheme!r}")
-    tree = driver.tree
-    if barrier.tree is not tree:
+    if barrier.tree is not driver.tree:
         raise ValueError("driver and barrier live on different trees")
-    check_contraction(gen, tree)
-    depth = tree.depth
-    xi = np.asarray(terminal, dtype=float)
-    if xi.shape[0] != tree.n_nodes(depth):
-        raise ValueError("terminal payoff has the wrong number of leaves")
-    sigma = sigma_array(barrier, driver, n) if scheme == "modified" else None
-
-    point: list[np.ndarray | None] = [None] * (depth + 1)
-    right: list[np.ndarray | None] = [None] * depth
-    integrand: list[np.ndarray | None] = [None] * depth
-    kstar: list[np.ndarray | None] = [None] * depth
-    kd: list[np.ndarray | None] = [None] * depth
-    point[depth] = xi.copy()
-    for i in range(depth - 1, -1, -1):
-        w = point[i + 1] + driver.delta_minus(i + 1)
-        cond = w.reshape(-1, 2).mean(axis=1)
-        z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
-        t = tree.time(i)
-        y = implicit_interval_step(
-            gen, t, cond, z, tree.dt, floor=barrier.right[i], penalty=float(n)
-        )
-        kstar[i] = np.maximum(y - cond - np.asarray(gen(t, y, z), dtype=float) * tree.dt, 0.0)
-        integrand[i] = z
-        right[i] = y
-        up = y + driver.delta_plus(i)
-        if sigma is not None and bool(np.any(sigma.detected[i])):
-            mask = sigma.detected[i]
-            kd[i] = np.where(mask, np.maximum(barrier.point[i] - up, 0.0), 0.0)
-            point[i] = up + kd[i]
-        else:
-            kd[i] = np.zeros(tree.n_nodes(i))
-            point[i] = up
+    point_floor = None
+    if scheme == "modified":
+        sigma = sigma_array(barrier, driver, n)
+        point_floor = [
+            np.where(mask, level, -np.inf) for mask, level in zip(sigma.detected, barrier.point)
+        ]
+    trip = backward_sweep(
+        terminal, gen, driver, floor=barrier.right, point_floor=point_floor, penalty=float(n)
+    )
     return PenalizedSolution(
         n=int(n),
         scheme=scheme,
-        value=AdaptedRegulatedProcess(tree, point, right),
-        integrand=integrand,
-        kstar_interval=kstar,
-        kd_right=kd,
+        value=trip.value,
+        integrand=trip.integrand,
+        kstar_interval=trip.increments.interval,
+        kd_right=trip.increments.right,
     )
 
 

@@ -19,15 +19,18 @@ import numpy as np
 
 from .bsde import (
     GeneratorSpec,
-    check_contraction,
-    implicit_interval_step,
+    SolutionTriple,
+    backward_sweep,
+    dynamics_residual,
+    implicit_interval_step,  # read by bench/test_bench.py::test_tracer_restores_every_patched_name
     solve_bsde,
     table_generator,
 )
-from .snell import KIncrements, minimality_residuals, snell_envelope
-from .tree_space import AdaptedRegulatedProcess, TreeSpace, rule_value_fields
+from .snell import minimality_residuals, snell_envelope
+from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace, rule_value_fields
 
 __all__ = [
+    "KIncrements",
     "SolutionTriple",
     "VerificationReport",
     "BarrierTransformResult",
@@ -46,15 +49,6 @@ __all__ = [
 BOUND_MARGIN = 0.5
 BOUND_LATTICE = 129
 ORDER_EQUALITY_TOL = 1e-13
-
-
-@dataclass
-class SolutionTriple:
-    """Value process, representation integrand, and reflection charges."""
-
-    value: AdaptedRegulatedProcess
-    integrand: list[np.ndarray]
-    increments: KIncrements
 
 
 @dataclass
@@ -86,60 +80,6 @@ class VerificationReport:
         )
 
 
-def _check_terminal(barrier: AdaptedRegulatedProcess, terminal: np.ndarray) -> np.ndarray:
-    xi = np.asarray(terminal, dtype=float)
-    tree = barrier.tree
-    if xi.shape[0] != tree.n_nodes(tree.depth):
-        raise ValueError("terminal payoff has the wrong number of leaves")
-    gap = float(np.min(xi - barrier.point[tree.depth]))
-    if gap < 0.0:
-        raise ValueError(f"terminal payoff fails to dominate the barrier by {-gap:.3e}")
-    return xi
-
-
-def _reflected_sweep(
-    terminal: np.ndarray,
-    gen: GeneratorSpec,
-    driver: AdaptedRegulatedProcess,
-    interval_floor: list[np.ndarray],
-    left_floor: list[np.ndarray],
-    point_floor: list[np.ndarray],
-) -> SolutionTriple:
-    """Backward sweep shared by the direct and reduction routes.
-
-    ``interval_floor[i]`` constrains Y on (t_i, t_{i+1}) and the left limit
-    at t_{i+1}; ``left_floor[i]`` splits the resulting charge: the part up to
-    (left_floor - E)^+ is booked as the predictable left jump at t_{i+1},
-    the remainder as interval charge.  ``point_floor[i]`` drives the
-    right-jump reflection at t_i.
-    """
-    tree = driver.tree
-    n = tree.depth
-    dt = tree.dt
-    point: list[np.ndarray | None] = [None] * (n + 1)
-    right: list[np.ndarray | None] = [None] * n
-    integrand: list[np.ndarray | None] = [None] * n
-    k = KIncrements.zeros(tree)
-    point[n] = terminal.copy()
-    for i in range(n - 1, -1, -1):
-        w = point[i + 1] + driver.delta_minus(i + 1)
-        cond = w.reshape(-1, 2).mean(axis=1)
-        z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
-        t = tree.time(i)
-        y = implicit_interval_step(gen, t, cond, z, dt, floor=interval_floor[i])
-        total = np.maximum(y - cond - gen(t, y, z) * dt, 0.0)
-        left = np.minimum(np.maximum(left_floor[i] - cond, 0.0), total)
-        k.left[i + 1] = np.repeat(left, 2)
-        k.interval[i] = total - left
-        integrand[i] = z
-        right[i] = y
-        up = y + driver.delta_plus(i)
-        k.right[i] = np.maximum(point_floor[i] - up, 0.0)
-        point[i] = np.maximum(up, point_floor[i])
-    value = AdaptedRegulatedProcess(tree, point, right)
-    return SolutionTriple(value=value, integrand=integrand, increments=k)
-
-
 def solve_reflected_direct(
     terminal: np.ndarray,
     gen: GeneratorSpec,
@@ -164,14 +104,9 @@ def solve_reflected_direct(
         nonnegative, and each charge acts only where Y touches the floor
         that produced it.
     """
-    tree = driver.tree
-    if barrier.tree is not tree:
+    if barrier.tree is not driver.tree:
         raise ValueError("driver and barrier live on different trees")
-    check_contraction(gen, tree)
-    xi = _check_terminal(barrier, terminal)
-    floors = [barrier.right[i] for i in range(tree.depth)]
-    points = [barrier.point[i] for i in range(tree.depth)]
-    return _reflected_sweep(xi, gen, driver, floors, floors, points)
+    return backward_sweep(terminal, gen, driver, floor=barrier.right, point_floor=barrier.point)
 
 
 def verify_solution(
@@ -188,31 +123,12 @@ def verify_solution(
     """
     tree = trip.value.tree
     y = trip.value
-    z = trip.integrand
     k = trip.increments
-    xi = np.asarray(terminal, dtype=float)
-
-    worst = float(np.max(np.abs(y.point[tree.depth] - xi)))
-    for i in range(tree.depth):
-        t = tree.time(i)
-        f_val = np.asarray(gen(t, y.right[i], z[i]), dtype=float)
-        parent_part = f_val * tree.dt + k.interval[i]
-        recon = (
-            y.point[i + 1]
-            + driver.delta_minus(i + 1)
-            + k.left[i + 1]
-            + np.repeat(parent_part, 2)
-            - np.repeat(z[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
-        )
-        worst = max(worst, float(np.max(np.abs(np.repeat(y.right[i], 2) - recon))))
-        point_recon = y.right[i] + driver.delta_plus(i) + k.right[i]
-        worst = max(worst, float(np.max(np.abs(y.point[i] - point_recon))))
-
     margins = [float(np.min(y.point[i] - barrier.point[i])) for i in range(tree.depth + 1)]
     margins += [float(np.min(y.right[i] - barrier.right[i])) for i in range(tree.depth)]
     cont, jump = minimality_residuals(y, barrier, k)
     return VerificationReport(
-        dynamics_residual=worst,
+        dynamics_residual=dynamics_residual(trip, terminal, gen, driver),
         domination_margin=min(margins),
         minimality_continuous=cont,
         minimality_right_jump=jump,
@@ -267,11 +183,11 @@ class BarrierTransformResult:
     ``lhat`` dominates the input barrier, and its conditional left-limit
     drift is controlled: at every interior node, E[lhat(t+) + V-jump | node]
     plus the floor times dt stays below the interval value.  ``auxiliary``
-    is the unreflected pair absorbing the floor and the forcing.
+    is the unreflected solution absorbing the floor and the forcing.
     """
 
     lhat: AdaptedRegulatedProcess
-    auxiliary: object
+    auxiliary: SolutionTriple
     bound: np.ndarray
     domination_margin: float
     left_limit_margin: float
@@ -336,7 +252,7 @@ def barrier_transform(
 ) -> BarrierTransformResult:
     """Replace the barrier by the smallest dominating reward envelope.
 
-    The auxiliary pair X solves the unreflected equation with generator
+    The auxiliary solution X solves the unreflected equation with generator
     -bound and forcing -V, so X's jumps mirror V's and its drift absorbs the
     floor.  The envelope of barrier + X, shifted back by X, dominates the
     barrier and has nonpositive conditional left-limit drift after
@@ -353,14 +269,16 @@ def barrier_transform(
     rows = np.asarray(bound, dtype=float).reshape(-1)
     if rows.shape[0] != n:
         raise ValueError(f"lower bound needs one value per interval ({n}), got {rows.shape[0]}")
-    xi = _check_terminal(barrier, terminal)
+    xi = np.asarray(terminal, dtype=float)
 
     if gen is not None:
         _check_bound_on_samples(gen, rows, tree, barrier, xi, tol)
 
+    # the auxiliary terminal takes the payoff's shape, so the sweep's leaf
+    # count check covers the payoff; the envelope checks its domination
     neg_rows = [np.array([-rows[i]]) for i in range(n)]
     aux = solve_bsde(
-        np.zeros(tree.n_nodes(n)),
+        np.zeros_like(xi),
         table_generator(tree, neg_rows, name="floor-absorber"),
         -driver,
     )
@@ -430,8 +348,6 @@ def solve_via_reduction(
     tree = driver.tree
     if barrier.tree is not tree:
         raise ValueError("driver and barrier live on different trees")
-    check_contraction(gen, tree)
-    xi = _check_terminal(barrier, terminal)
 
     user_bound = bound is not None
     rows = (
@@ -443,7 +359,10 @@ def solve_via_reduction(
         result = barrier_transform(
             barrier, terminal, rows, driver, gen=gen if user_bound else None
         )
-        trip = _reduction_sweep(xi, gen, driver, result.lhat)
+        # lhat's right-limit field is a right-continuous barrier, so it is
+        # both the interval and the left-limit floor
+        lhat = result.lhat
+        trip = backward_sweep(terminal, gen, driver, floor=lhat.right, point_floor=lhat.point)
         worst = 0.0
         for i in range(tree.depth):
             f_val = np.asarray(
@@ -456,21 +375,6 @@ def solve_via_reduction(
             raise ValueError("lower-bound violation detected on samples")
         rows = rows - (worst + 1.0)
     raise ValueError("lower-bound violation detected on samples")
-
-
-def _reduction_sweep(
-    terminal: np.ndarray,
-    gen: GeneratorSpec,
-    driver: AdaptedRegulatedProcess,
-    lhat: AdaptedRegulatedProcess,
-) -> SolutionTriple:
-    # The right-limit field of lhat is a right-continuous barrier, so the
-    # interval and left-limit floors coincide; point values are re-attached
-    # against lhat's own points.
-    tree = driver.tree
-    floors = [lhat.right[i] for i in range(tree.depth)]
-    points = [lhat.point[i] for i in range(tree.depth)]
-    return _reflected_sweep(terminal, gen, driver, floors, floors, points)
 
 
 # ----------------------------------------------------------------------

@@ -1,12 +1,13 @@
 """Snell envelope of a regulated reward with terminal constraint.
 
-The envelope is computed by one backward sweep.  Because noise is revealed
-only at grid instants, the left-approach reflection compares the barrier's
-interval value with the conditional expectation of the next point values,
-taken before the next increment is revealed; the resulting left-jump charge
-is the same on both siblings.  The right-jump reflection happens at the grid
-point itself.  The increasing process is returned split into its interval
-part, left jumps, and right jumps.
+The envelope is the reflected backward sweep with a zero generator and no
+forcing.  Because noise is revealed only at grid instants, the left-approach
+reflection compares the barrier's interval value with the conditional
+expectation of the next point values, taken before the next increment is
+revealed; the resulting left-jump charge is the same on both siblings.  The
+right-jump reflection happens at the grid point itself.  The increasing
+process is returned split into its interval part, left jumps, and right
+jumps.
 """
 
 from __future__ import annotations
@@ -15,89 +16,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tree_space import (
-    AdaptedRegulatedProcess,
-    TreeSpace,
-    rule_value_fields,
-)
+from .bsde import SolutionTriple, backward_sweep, make_generator
+from .tree_space import AdaptedRegulatedProcess, KIncrements, rule_value_fields
 
 __all__ = [
     "KIncrements",
+    "SolutionTriple",
     "MertensDecomposition",
     "snell_envelope",
     "verify_minimality",
     "brute_force_snell",
 ]
-
-
-def _zero_levels(tree: TreeSpace, first: int, last: int) -> list[np.ndarray]:
-    return [np.zeros(tree.n_nodes(i)) for i in range(first, last + 1)]
-
-
-@dataclass
-class KIncrements:
-    """Increment storage for an increasing regulated process K with K(0) = 0.
-
-    ``interval[i]`` is the charge accrued on (t_i, t_{i+1}), known at the
-    level-i node; ``left[i]`` (for i >= 1) is the left jump at t_i, stored at
-    level i and equal across siblings because it is decided one instant
-    before the noise; ``right[i]`` is the right jump at t_i.  ``left[0]`` is
-    identically zero and kept only to align indices.
-    """
-
-    tree: TreeSpace
-    interval: list[np.ndarray]
-    left: list[np.ndarray]
-    right: list[np.ndarray]
-
-    @classmethod
-    def zeros(cls, tree: TreeSpace) -> "KIncrements":
-        return cls(
-            tree=tree,
-            interval=_zero_levels(tree, 0, tree.depth - 1),
-            left=_zero_levels(tree, 0, tree.depth),
-            right=_zero_levels(tree, 0, tree.depth - 1),
-        )
-
-    def max_component(self) -> float:
-        parts = [np.max(np.abs(a)) for group in (self.interval, self.left, self.right) for a in group]
-        return float(max(parts))
-
-    def min_component(self) -> float:
-        parts = [np.min(a) for group in (self.interval, self.left, self.right) for a in group]
-        return float(min(parts))
-
-    def cumulative(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        """Running K at points and right limits: K(t_i) and K(t_i+) per node.
-
-        K(t_i) includes the left jump at t_i but not the right jump there;
-        K(t_i+) adds the right jump.
-        """
-        n = self.tree.depth
-        at_point: list[np.ndarray] = [np.zeros(1)]
-        at_right: list[np.ndarray] = []
-        for i in range(n):
-            at_right.append(at_point[i] + self.right[i])
-            nxt = np.repeat(at_right[i] + self.interval[i], 2) + self.left[i + 1]
-            at_point.append(nxt)
-        return at_point, at_right
-
-    def total_mass_expectation(self) -> float:
-        """E[K(T)], the mean accumulated charge."""
-        at_point, _ = self.cumulative()
-        return float(np.mean(at_point[-1]))
-
-    def dominates(self, other: "KIncrements", tol: float = 0.0) -> bool:
-        """Componentwise measure ordering dK >= d(other) at every node."""
-        for mine, theirs in (
-            (self.interval, other.interval),
-            (self.left, other.left),
-            (self.right, other.right),
-        ):
-            for a, b in zip(mine, theirs):
-                if not np.all(a - b >= -tol):
-                    return False
-        return True
 
 
 @dataclass
@@ -135,41 +64,22 @@ def snell_envelope(barrier: AdaptedRegulatedProcess, terminal: np.ndarray) -> Me
         charges.
     """
     tree = barrier.tree
-    n = tree.depth
-    xi = np.asarray(terminal, dtype=float)
-    if xi.shape[0] != tree.n_nodes(n):
-        raise ValueError("terminal payoff has the wrong number of leaves")
-    gap = float(np.min(xi - barrier.point[n]))
-    if gap < 0.0:
-        raise ValueError(f"terminal payoff fails to dominate the barrier by {-gap:.3e}")
-
-    point: list[np.ndarray | None] = [None] * (n + 1)
-    right: list[np.ndarray | None] = [None] * n
-    integrand: list[np.ndarray | None] = [None] * n
-    k = KIncrements.zeros(tree)
-    point[n] = xi.copy()
-    for i in range(n - 1, -1, -1):
-        child = point[i + 1]
-        cond = child.reshape(-1, 2).mean(axis=1)
-        integrand[i] = (child[1::2] - child[0::2]) / (2.0 * tree.sqrt_dt)
-        ell = barrier.right[i]
-        left_charge = np.maximum(ell - cond, 0.0)
-        k.left[i + 1] = np.repeat(left_charge, 2)
-        right[i] = np.maximum(cond, ell)
-        k.right[i] = np.maximum(barrier.point[i] - right[i], 0.0)
-        point[i] = np.maximum(right[i], barrier.point[i])
-
+    trip = backward_sweep(
+        terminal,
+        make_generator("zero"),
+        AdaptedRegulatedProcess.zeros(tree),
+        floor=barrier.right,
+        point_floor=barrier.point,
+    )
     martingale = [np.zeros(1)]
-    for i in range(n):
-        step = np.repeat(integrand[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
+    for i in range(tree.depth):
+        step = np.repeat(trip.integrand[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
         martingale.append(np.repeat(martingale[i], 2) + step)
-
-    envelope = AdaptedRegulatedProcess(tree, point, right)
     return MertensDecomposition(
-        envelope=envelope,
+        envelope=trip.value,
         martingale=martingale,
-        integrand=integrand,
-        increasing=k,
+        integrand=trip.integrand,
+        increasing=trip.increments,
     )
 
 

@@ -23,6 +23,7 @@ __all__ = [
     "ORACLE_DEPTH_CAP",
     "TreeSpace",
     "AdaptedRegulatedProcess",
+    "KIncrements",
     "StoppingRule",
     "build_tree",
     "conditional_expectation",
@@ -206,6 +207,71 @@ class AdaptedRegulatedProcess:
 
     def scale(self) -> float:
         return max(1.0, self.max_abs())
+
+
+@dataclass
+class KIncrements:
+    """Increment storage for an increasing regulated process K with K(0) = 0.
+
+    ``interval[i]`` is the charge accrued on (t_i, t_{i+1}), known at the
+    level-i node; ``left[i]`` (for i >= 1) is the left jump at t_i, stored at
+    level i and equal across siblings because it is decided one instant
+    before the noise; ``right[i]`` is the right jump at t_i.  ``left[0]`` is
+    identically zero and kept only to align indices.
+    """
+
+    tree: TreeSpace
+    interval: list[np.ndarray]
+    left: list[np.ndarray]
+    right: list[np.ndarray]
+
+    @classmethod
+    def zeros(cls, tree: TreeSpace) -> "KIncrements":
+        # read-only zero-stride views: an all-zero charge takes no memory,
+        # and the levels can share one view because writing into it raises
+        zero = np.broadcast_to(0.0, tree.n_nodes(tree.depth))
+        levels = [zero[: tree.n_nodes(i)] for i in range(tree.depth + 1)]
+        return cls(tree=tree, interval=levels[:-1], left=levels, right=levels[:-1])
+
+    def max_component(self) -> float:
+        parts = [np.max(np.abs(a)) for group in (self.interval, self.left, self.right) for a in group]
+        return float(max(parts))
+
+    def min_component(self) -> float:
+        parts = [np.min(a) for group in (self.interval, self.left, self.right) for a in group]
+        return float(min(parts))
+
+    def cumulative(self) -> tuple[list[np.ndarray], list[np.ndarray]]:
+        """Running K at points and right limits: K(t_i) and K(t_i+) per node.
+
+        K(t_i) includes the left jump at t_i but not the right jump there;
+        K(t_i+) adds the right jump.
+        """
+        n = self.tree.depth
+        at_point: list[np.ndarray] = [np.zeros(1)]
+        at_right: list[np.ndarray] = []
+        for i in range(n):
+            at_right.append(at_point[i] + self.right[i])
+            nxt = np.repeat(at_right[i] + self.interval[i], 2) + self.left[i + 1]
+            at_point.append(nxt)
+        return at_point, at_right
+
+    def total_mass_expectation(self) -> float:
+        """E[K(T)], the mean accumulated charge."""
+        at_point, _ = self.cumulative()
+        return float(np.mean(at_point[-1]))
+
+    def dominates(self, other: "KIncrements", tol: float = 0.0) -> bool:
+        """Componentwise measure ordering dK >= d(other) at every node."""
+        for mine, theirs in (
+            (self.interval, other.interval),
+            (self.left, other.left),
+            (self.right, other.right),
+        ):
+            for a, b in zip(mine, theirs):
+                if not np.all(a - b >= -tol):
+                    return False
+        return True
 
 
 @dataclass(frozen=True)

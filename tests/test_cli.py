@@ -250,6 +250,25 @@ class TestPenalizeVerb:
         assert tree_of_files(a) == tree_of_files(b)
 
 
+    def test_levels_below_one_are_a_usage_error(self, tmp_path, capfd):
+        config = write_config(
+            tmp_path,
+            """\
+            [experiment]
+            kind = penalize
+            depth = 3
+            count = 1
+            mode = classic_vs_transformed
+            levels = 0,1,2
+            """,
+        )
+        code = main(["penalize", "--config", config, "--out-dir", str(tmp_path / "o")])
+        assert code == 2
+        err = capfd.readouterr().err
+        assert "penalty level must be a positive integer, got 0" in err
+        assert "DLASCL" not in err
+
+
 class TestItoVerb:
     def test_path_checks_pass_and_paths_are_written(self, tmp_path):
         config = write_config(

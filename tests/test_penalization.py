@@ -113,6 +113,13 @@ class TestSolvePenalized:
         gaps = [row.sup_gap_y for row in study.rows]
         assert gaps == sorted(gaps, reverse=True)
 
+    @pytest.mark.parametrize("scheme", ["classic", "modified"])
+    @pytest.mark.parametrize("n", [0, -4])
+    def test_rejects_levels_below_one(self, scheme, n):
+        _, barrier, terminal, gen, driver = spike_setup()
+        with pytest.raises(ValueError, match="positive integer"):
+            solve_penalized(terminal, gen, driver, barrier, n, scheme=scheme)
+
     def test_rejects_unknown_scheme(self):
         _, barrier, terminal, gen, driver = spike_setup()
         with pytest.raises(ValueError, match="unknown penalization scheme"):

@@ -168,6 +168,13 @@ class TestKIncrements:
         assert k.max_component() == 1.0
         assert k.min_component() == 0.0
 
+    def test_zeros_are_read_only(self):
+        zeros = KIncrements.zeros(small_tree(3))
+        assert zeros.max_component() == 0.0
+        assert [a.shape for a in zeros.left] == [(1,), (2,), (4,), (8,)]
+        with pytest.raises(ValueError, match="read-only"):
+            zeros.left[2][0] = 1.0
+
     def test_dominates_ordering(self, rng):
         tree = small_tree(2)
         barrier, terminal = dominated_barrier(tree, rng, scale=3.0)
