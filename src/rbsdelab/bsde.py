@@ -14,11 +14,12 @@ all calls of it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
-from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace
+from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace, _level_views
+from .tree_space import conditional_expectation, martingale_representation
 
 __all__ = [
     "SolverError",
@@ -66,7 +67,7 @@ class SolutionTriple:
     """Value process, representation integrand, and reflection charges."""
 
     value: AdaptedRegulatedProcess
-    integrand: list[np.ndarray]
+    integrand: tuple[np.ndarray, ...]
     increments: KIncrements
 
 
@@ -256,8 +257,8 @@ def backward_sweep(
     terminal: np.ndarray,
     gen: GeneratorSpec,
     driver: AdaptedRegulatedProcess,
-    floor: list[np.ndarray] | None = None,
-    point_floor: list[np.ndarray] | None = None,
+    floor: Sequence[np.ndarray] | None = None,
+    point_floor: Sequence[np.ndarray] | None = None,
     penalty: float = 0.0,
 ) -> SolutionTriple:
     """Backward sweep from the terminal payoff with up to three floors.
@@ -273,7 +274,9 @@ def backward_sweep(
     ``point_floor[i]`` (one array per level, the terminal one included)
     reflects the point value with a right-jump charge; the payoff must
     dominate its terminal row.  Without floors this is the unreflected
-    equation and every charge is zero.
+    equation and every charge is zero.  Each level is written into the
+    arrays of the returned triple; a charge component that no floor can
+    produce stays the read-only zero view of :meth:`KIncrements.zeros`.
 
     Raises
     ------
@@ -294,35 +297,39 @@ def backward_sweep(
         if gap < 0.0:
             raise ValueError(f"terminal payoff fails to dominate the barrier by {-gap:.3e}")
 
-    point: list[np.ndarray | None] = [None] * (n + 1)
-    right: list[np.ndarray | None] = [None] * n
-    integrand: list[np.ndarray | None] = [None] * n
-    k = KIncrements.zeros(tree)
-    point[n] = xi.copy()
+    value = AdaptedRegulatedProcess.zeros(tree)
+    integrand = _level_views(np.zeros((1 << n) - 1), n)
+    zero = KIncrements.zeros(tree)
+    k = KIncrements(
+        tree,
+        zero.intervals if floor is None else np.zeros(zero.intervals.size),
+        zero.lefts if floor is None or penalty > 0.0 else np.zeros(zero.lefts.size),
+        zero.rights if point_floor is None else np.zeros(zero.rights.size),
+    )
+    value.point[n][:] = xi
     for i in range(n - 1, -1, -1):
-        w = point[i + 1] + driver.delta_minus(i + 1)
-        cond = w.reshape(-1, 2).mean(axis=1)
-        z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
+        w = value.point[i + 1] + driver.delta_minus(i + 1)
+        cond = conditional_expectation(tree, w)
+        z = integrand[i]
+        z[:] = martingale_representation(tree, w)
         t = tree.time(i)
         level_floor = None if floor is None else floor[i]
         y = implicit_interval_step(gen, t, cond, z, dt, floor=level_floor, penalty=penalty)
         if level_floor is not None:
             total = np.maximum(y - cond - gen(t, y, z) * dt, 0.0)
             if penalty > 0.0:
-                k.interval[i] = total
+                k.interval[i][:] = total
             else:
                 left = np.minimum(np.maximum(level_floor - cond, 0.0), total)
-                k.left[i + 1] = np.repeat(left, 2)
-                k.interval[i] = total - left
-        integrand[i] = z
-        right[i] = y
+                k.left[i + 1][:] = np.repeat(left, 2)
+                np.subtract(total, left, out=k.interval[i])
+        value.right[i][:] = y
         up = y + driver.delta_plus(i)
         if point_floor is None:
-            point[i] = up
+            value.point[i][:] = up
         else:
-            k.right[i] = np.maximum(point_floor[i] - up, 0.0)
-            point[i] = np.maximum(up, point_floor[i])
-    value = AdaptedRegulatedProcess(tree, point, right)
+            np.maximum(point_floor[i] - up, 0.0, out=k.right[i])
+            np.maximum(up, point_floor[i], out=value.point[i])
     return SolutionTriple(value=value, integrand=integrand, increments=k)
 
 
@@ -409,14 +416,20 @@ class TransformedProblem:
     candidate_increments: KIncrements | None
 
 
+def _time_factors(tree: TreeSpace, rate: float) -> np.ndarray:
+    # exp(rate t_i) at every node of levels 0..N, heap-ordered; a field over
+    # levels 0..N-1 takes the leading 2**N - 1 entries
+    per_level = [float(np.exp(rate * tree.time(i))) for i in range(tree.depth + 1)]
+    return np.repeat(per_level, 1 << np.arange(tree.depth + 1))
+
+
 def _scale_process_by_time(
     process: AdaptedRegulatedProcess, rate: float
 ) -> AdaptedRegulatedProcess:
-    tree = process.tree
-    factors = [float(np.exp(rate * tree.time(i))) for i in range(tree.depth + 1)]
-    point = [process.point[i] * factors[i] for i in range(tree.depth + 1)]
-    right = [process.right[i] * factors[i] for i in range(tree.depth)]
-    return AdaptedRegulatedProcess(tree, point, right)
+    factors = _time_factors(process.tree, rate)
+    return AdaptedRegulatedProcess(
+        process.tree, process.points * factors, process.rights * factors[: process.rights.size]
+    )
 
 
 def _scale_driver(driver: AdaptedRegulatedProcess, rate: float) -> AdaptedRegulatedProcess:
@@ -429,16 +442,13 @@ def _scale_driver(driver: AdaptedRegulatedProcess, rate: float) -> AdaptedRegula
         right.append(point[i] + e_i * driver.delta_plus(i))
         e_next = float(np.exp(rate * tree.time(i + 1)))
         point.append(np.repeat(right[i], 2) + e_next * driver.delta_minus(i + 1))
-    return AdaptedRegulatedProcess(tree, point, right)
+    return AdaptedRegulatedProcess.from_levels(tree, point, right)
 
 
 def _scale_increments(k: KIncrements, rate: float) -> KIncrements:
-    tree = k.tree
-    factor = [float(np.exp(rate * tree.time(i))) for i in range(tree.depth + 1)]
-    interval = [k.interval[i] * factor[i] for i in range(tree.depth)]
-    left = [k.left[i] * factor[i] for i in range(tree.depth + 1)]
-    right = [k.right[i] * factor[i] for i in range(tree.depth)]
-    return KIncrements(tree, interval, left, right)
+    factors = _time_factors(k.tree, rate)
+    short = factors[: k.rights.size]
+    return KIncrements(k.tree, k.intervals * short, k.lefts * factors, k.rights * short)
 
 
 def exponential_transform(

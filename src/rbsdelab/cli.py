@@ -156,16 +156,16 @@ _POINT_ROW = ",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 _TERMINAL_ROW = ",%.17g,,,,%.17g,\n"
 
 
-def _solution_rows(name: str, scenario: Scenario, sol) -> str:
-    """The ``results.csv`` rows of one solved scenario, as one text block.
+def _solution_rows(name: str, scenario: Scenario, sol) -> Iterator[str]:
+    """The ``results.csv`` rows of one solved scenario, one text block per level.
 
     Each level is formatted column-wise: its arrays become Python floats
-    once, and one ``%`` template per level renders every node of it.
+    once, and one ``%`` template per level renders every node of it.  Only
+    one level's text exists at a time.
     """
     tree = scenario.tree
     times = tree.grid.times()
     value, k = sol.value, sol.increments
-    blocks = []
     for level in range(tree.depth + 1):
         if level == tree.depth:
             columns = (value.point[level], k.left[level])
@@ -183,8 +183,7 @@ def _solution_rows(name: str, scenario: Scenario, sol) -> str:
         prefix = f"{name},{level},".replace("%", "%%")
         template = prefix + "%d," + _fmt(times[level]) + cells
         rows = zip(range(tree.n_nodes(level)), *(column.tolist() for column in columns))
-        blocks.append("".join(map(template.__mod__, rows)))
-    return "".join(blocks)
+        yield "".join(map(template.__mod__, rows))
 
 
 def _solve_scenarios(cfg: configparser.ConfigParser, seed: int) -> list[Scenario]:
@@ -208,35 +207,18 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
         raise ValueError(f"unknown method {method!r}")
     scenarios = _solve_scenarios(cfg, seed)
 
-    def work(item):
-        index, scenario = item
+    def work(scenario: Scenario):
+        data = (scenario.terminal, scenario.gen, scenario.driver, scenario.barrier)
         try:
+            gap = None
             if method == "reduction":
-                sol = solve_via_reduction(
-                    scenario.terminal,
-                    scenario.gen,
-                    scenario.driver,
-                    scenario.barrier,
-                    bound=scenario.bound,
-                )
-                gap = None
+                sol = solve_via_reduction(*data, bound=scenario.bound)
             else:
-                sol = solve_reflected_direct(
-                    scenario.terminal, scenario.gen, scenario.driver, scenario.barrier
-                )
-                gap = None
+                sol = solve_reflected_direct(*data)
                 if method == "both":
-                    other = solve_via_reduction(
-                        scenario.terminal,
-                        scenario.gen,
-                        scenario.driver,
-                        scenario.barrier,
-                        bound=scenario.bound,
-                    )
+                    other = solve_via_reduction(*data, bound=scenario.bound)
                     gap = max(solution_distance(sol, other).values())
-            report = verify_solution(
-                sol, scenario.terminal, scenario.gen, scenario.driver, scenario.barrier
-            )
+            report = verify_solution(sol, *data)
         except (SolverError, ValueError) as exc:
             raise RuntimeError(f"scenario {scenario.name}: {exc}") from exc
         scale = max(scenario.scale(), sol.value.scale()) * tol_scale
@@ -261,17 +243,17 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
                 _status(ok),
             ]
         )
-        return ok, _solution_rows(scenario.name, scenario, sol), summary
+        return ok, sol, summary
 
     outcomes = []
 
     def parts():
-        # A block is written once its scenario and all earlier ones are done,
-        # not held until the last scenario ends.
+        # Rows are formatted here, by the writer, one level at a time, so the
+        # text held at once does not depend on the workers' timing.
         yield "scenario,level,node,time,y_point,y_right,z,k_interval,k_left,k_right\n"
-        for ok, block, summary in _map_ordered(work, enumerate(scenarios), jobs):
+        for scenario, (ok, sol, summary) in zip(scenarios, _map_ordered(work, scenarios, jobs)):
             outcomes.append((ok, summary))
-            yield block
+            yield from _solution_rows(scenario.name, scenario, sol)
 
     _write_atomic(os.path.join(out_dir, "results.csv"), parts())
     summary_header = (
@@ -296,18 +278,13 @@ def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bo
             scenario = snell_scenario(rng, depth, name=f"envelope-{index:03d}")
             dec = snell_envelope(scenario.barrier, scenario.terminal)
             oracle = brute_force_snell(scenario.barrier, scenario.terminal)
-            dev = max(
-                max(
-                    float(np.max(np.abs(dec.envelope.point[i] - oracle.point[i])))
-                    for i in range(depth + 1)
-                ),
-                max(
-                    float(np.max(np.abs(dec.envelope.right[i] - oracle.right[i])))
-                    for i in range(depth)
-                ),
-            )
             cont, jump = verify_minimality(dec, scenario.barrier)
-            dev = max(dev, abs(cont), abs(jump))
+            dev = max(
+                float(np.max(np.abs(dec.envelope.points - oracle.points))),
+                float(np.max(np.abs(dec.envelope.rights - oracle.rights))),
+                abs(cont),
+                abs(jump),
+            )
             check = "envelope"
         else:
             scenario = representation_scenario(rng, depth, name=f"stopped-{index:03d}")

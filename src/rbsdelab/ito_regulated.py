@@ -342,18 +342,14 @@ def power_residual(
         raise ValueError("path approaches the origin closer than the requested margin")
     n = path.grid.steps
     point, right, left = path.sample_values()
+    jminus, jplus = power_jump_terms(path, p)
     res = np.zeros(n + 1)
     running = 0.0
     start = float(np.linalg.norm(point[0])) ** p
     for i in range(n):
         # right jump at t_i: explicit gradient part plus convex remainder
         running += _power_grad_dot(point[i], p, path.right_jumps[i])
-        rp = float(np.linalg.norm(right[i])) ** p
-        running += (
-            rp
-            - float(np.linalg.norm(point[i])) ** p
-            - _power_grad_dot(point[i], p, path.right_jumps[i])
-        )
+        running += jplus[i]
         # open interval: gradient sum and quadratic-variation surrogate
         c = path.cont[i]
         running += _power_grad_dot(right[i], p, c)
@@ -363,13 +359,8 @@ def power_residual(
             qform = float(s @ c) ** 2
             running += 0.5 * p * r ** (p - 2.0) * ((2.0 - p) * (c2 - qform) + (p - 1.0) * c2)
         # left jump at t_{i+1}: gradient atom plus convex remainder
-        dm = path.left_jumps[i + 1]
-        running += _power_grad_dot(left[i + 1], p, dm)
-        running += (
-            float(np.linalg.norm(point[i + 1])) ** p
-            - float(np.linalg.norm(left[i + 1])) ** p
-            - _power_grad_dot(left[i + 1], p, dm)
-        )
+        running += _power_grad_dot(left[i + 1], p, path.left_jumps[i + 1])
+        running += jminus[i]
         res[i + 1] = float(np.linalg.norm(point[i + 1])) ** p - start - running
     local = res.copy() if p == 1.0 else None
     return PowerResidual(p=float(p), residual=res, local_time_estimate=local)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .bsde import GeneratorSpec, SolutionTriple, backward_sweep
 from .rbsde import barrier_transform, default_lower_bound, solve_reflected_direct
-from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace
+from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace, _level_views
 
 __all__ = [
     "SigmaArray",
@@ -41,24 +41,27 @@ MONOTONE_EQUALITY_TOL = 1e-13
 class SigmaArray:
     """Per-node detection flags for right jumps below -1/n.
 
-    ``detected[i]`` marks the level-i nodes where the barrier's right jump
-    or the forcing's right jump falls under -1/n.  Each flag depends only on
-    level-i information, so the induced per-path hitting times are stopping
-    times.  The flagged set grows with n because the threshold shrinks.
+    ``mask`` is heap-ordered over levels 0..N and ``detected[i]`` is its
+    level-i view: it marks the nodes where the barrier's right jump or the
+    forcing's right jump falls under -1/n.  Each flag depends only on level-i
+    information, so the induced per-path hitting times are stopping times.
+    The flagged set grows with n because the threshold shrinks.
     """
 
     n: int
-    detected: list[np.ndarray]
+    mask: np.ndarray
+    detected: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        # a heap over L levels holds 2**L - 1 entries
+        self.detected = _level_views(self.mask, self.mask.size.bit_length())
 
     def count(self) -> int:
-        return int(sum(int(np.sum(mask)) for mask in self.detected))
+        return int(np.count_nonzero(self.mask))
 
     def contains(self, other: "SigmaArray") -> bool:
         """Whether every node flagged by ``other`` is flagged here."""
-        return all(
-            bool(np.all(mine | ~theirs))
-            for mine, theirs in zip(self.detected, other.detected)
-        )
+        return bool(np.all(self.mask | ~other.mask))
 
 
 def sigma_array(
@@ -66,13 +69,14 @@ def sigma_array(
 ) -> SigmaArray:
     if n < 1:
         raise ValueError("detection level must be a positive integer")
-    tree = barrier.tree
     threshold = -1.0 / float(n)
-    detected = []
-    for i in range(tree.depth + 1):
-        mask = (barrier.delta_plus(i) < threshold) | (driver.delta_plus(i) < threshold)
-        detected.append(mask)
-    return SigmaArray(n=int(n), detected=detected)
+    # no right jump at the horizon, so the terminal level is never flagged
+    mask = np.zeros(barrier.points.size, dtype=bool)
+    mask[: barrier.rights.size] = (
+        (barrier.rights - barrier.points[: barrier.rights.size] < threshold)
+        | (driver.rights - driver.points[: driver.rights.size] < threshold)
+    )
+    return SigmaArray(n=int(n), mask=mask)
 
 
 def build_sigma_arrays(
@@ -86,26 +90,27 @@ def build_sigma_arrays(
 class PenalizedSolution:
     """Level-n approximation with its split increasing process.
 
-    ``kstar_interval[i]`` holds the penalty mass accrued on (t_i, t_{i+1});
-    ``kd_right[i]`` the correction charges, supported on the detection set.
+    ``increments`` has no left jumps: ``kstar_interval[i]`` is the penalty
+    mass accrued on (t_i, t_{i+1}), ``kd_right[i]`` the correction charges,
+    supported on the detection set.
     """
 
     n: int
     scheme: str
     value: AdaptedRegulatedProcess
-    integrand: list[np.ndarray]
-    kstar_interval: list[np.ndarray]
-    kd_right: list[np.ndarray]
+    integrand: tuple[np.ndarray, ...]
+    increments: KIncrements
+
+    @property
+    def kstar_interval(self) -> tuple[np.ndarray, ...]:
+        return self.increments.interval
+
+    @property
+    def kd_right(self) -> tuple[np.ndarray, ...]:
+        return self.increments.right
 
     def as_triple(self) -> SolutionTriple:
-        tree = self.value.tree
-        k = KIncrements(
-            tree=tree,
-            interval=[a.copy() for a in self.kstar_interval],
-            left=[np.zeros(tree.n_nodes(i)) for i in range(tree.depth + 1)],
-            right=[a.copy() for a in self.kd_right],
-        )
-        return SolutionTriple(value=self.value, integrand=self.integrand, increments=k)
+        return SolutionTriple(value=self.value, integrand=self.integrand, increments=self.increments)
 
     def kd_mass(self) -> float:
         tree = self.value.tree
@@ -146,10 +151,8 @@ def solve_penalized(
         raise ValueError("driver and barrier live on different trees")
     point_floor = None
     if scheme == "modified":
-        sigma = sigma_array(barrier, driver, n)
-        point_floor = [
-            np.where(mask, level, -np.inf) for mask, level in zip(sigma.detected, barrier.point)
-        ]
+        floors = np.where(sigma_array(barrier, driver, n).mask, barrier.points, -np.inf)
+        point_floor = _level_views(floors, barrier.tree.depth + 1)
     trip = backward_sweep(
         terminal, gen, driver, floor=barrier.right, point_floor=point_floor, penalty=float(n)
     )
@@ -158,8 +161,7 @@ def solve_penalized(
         scheme=scheme,
         value=trip.value,
         integrand=trip.integrand,
-        kstar_interval=trip.increments.interval,
-        kd_right=trip.increments.right,
+        increments=trip.increments,
     )
 
 
@@ -172,12 +174,11 @@ def step_one_barrier(
     is lowered to min(L, Y^n): the penalty mass then acts only on the
     touching set.
     """
-    tree = barrier.tree
-    point = [
-        np.minimum(barrier.point[i], sol.value.point[i]) for i in range(tree.depth + 1)
-    ]
-    right = [np.minimum(barrier.right[i], sol.value.right[i]) for i in range(tree.depth)]
-    return AdaptedRegulatedProcess(tree, point, right)
+    return AdaptedRegulatedProcess(
+        barrier.tree,
+        np.minimum(barrier.points, sol.value.points),
+        np.minimum(barrier.rights, sol.value.rights),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -215,43 +216,32 @@ class ConvergenceStudy:
         return STUDY_COLUMNS
 
 
-def _field_gap(
-    tree: TreeSpace,
-    sol: PenalizedSolution,
-    reference: SolutionTriple,
-    right_only: bool,
-) -> float:
-    gaps = [
-        float(np.max(np.abs(reference.value.right[i] - sol.value.right[i])))
-        for i in range(tree.depth)
-    ]
+def _field_gap(sol: PenalizedSolution, reference: SolutionTriple, right_only: bool) -> float:
+    gap = np.max(np.abs(reference.value.rights - sol.value.rights))
     if not right_only:
-        gaps += [
-            float(np.max(np.abs(reference.value.point[i] - sol.value.point[i])))
-            for i in range(tree.depth + 1)
-        ]
-    return max(gaps)
+        gap = max(gap, np.max(np.abs(reference.value.points - sol.value.points)))
+    return float(gap)
+
+
+def _excess(
+    lower: AdaptedRegulatedProcess, upper: AdaptedRegulatedProcess, right_only: bool
+) -> float:
+    """Largest amount by which ``lower`` exceeds ``upper``, at least zero."""
+    gap = np.max(lower.rights - upper.rights)
+    if not right_only:
+        gap = max(gap, np.max(lower.points - upper.points))
+    return max(0.0, float(gap))
 
 
 def _monotonicity_violation(
-    tree: TreeSpace,
     sol: PenalizedSolution,
     previous: PenalizedSolution | None,
     reference: SolutionTriple,
     right_only: bool,
 ) -> float:
-    worst = 0.0
-    for i in range(tree.depth):
-        worst = max(worst, float(np.max(sol.value.right[i] - reference.value.right[i])))
-        if previous is not None:
-            worst = max(worst, float(np.max(previous.value.right[i] - sol.value.right[i])))
-    if not right_only:
-        for i in range(tree.depth + 1):
-            worst = max(worst, float(np.max(sol.value.point[i] - reference.value.point[i])))
-            if previous is not None:
-                worst = max(
-                    worst, float(np.max(previous.value.point[i] - sol.value.point[i]))
-                )
+    worst = _excess(sol.value, reference.value, right_only)
+    if previous is not None:
+        worst = max(worst, _excess(previous.value, sol.value, right_only))
     if worst <= MONOTONE_EQUALITY_TOL * reference.value.scale():
         return 0.0
     return worst
@@ -319,10 +309,8 @@ def convergence_study(
         out.rows.append(
             ConvergenceRow(
                 n=int(n),
-                sup_gap_y=_field_gap(tree, sol, reference, right_only),
-                monotonicity_violation=_monotonicity_violation(
-                    tree, sol, previous, reference, right_only
-                ),
+                sup_gap_y=_field_gap(sol, reference, right_only),
+                monotonicity_violation=_monotonicity_violation(sol, previous, reference, right_only),
                 l1_gap_z=l1,
                 l2_gap_z=l2,
                 kd_mass=sol.kd_mass(),

@@ -27,7 +27,8 @@ from .bsde import (
     table_generator,
 )
 from .snell import minimality_residuals, snell_envelope
-from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace, rule_value_fields
+from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace
+from .tree_space import conditional_expectation, rule_value_fields
 
 __all__ = [
     "KIncrements",
@@ -121,15 +122,13 @@ def verify_solution(
     All quantities are recomputed from the stored fields; nothing is trusted
     from the solver that produced them.
     """
-    tree = trip.value.tree
     y = trip.value
     k = trip.increments
-    margins = [float(np.min(y.point[i] - barrier.point[i])) for i in range(tree.depth + 1)]
-    margins += [float(np.min(y.right[i] - barrier.right[i])) for i in range(tree.depth)]
+    margin = min(np.min(y.points - barrier.points), np.min(y.rights - barrier.rights))
     cont, jump = minimality_residuals(y, barrier, k)
     return VerificationReport(
         dynamics_residual=dynamics_residual(trip, terminal, gen, driver),
-        domination_margin=min(margins),
+        domination_margin=float(margin),
         minimality_continuous=cont,
         minimality_right_jump=jump,
         negative_charge=min(0.0, k.min_component()),
@@ -157,19 +156,14 @@ def stopping_representation_check(
         for i in range(tree.depth)
     ]
     point_sup, right_sup = rule_value_fields(tree, barrier, xi, driver=driver, running_right=running)
-    dev = max(
-        float(np.max(np.abs(trip.value.point[i] - point_sup[i])))
-        for i in range(tree.depth + 1)
+    return max(
+        _sup_gap(trip.value.points, np.concatenate(point_sup)),
+        _sup_gap(trip.value.rights, np.concatenate(right_sup)),
     )
-    if tree.depth > 0:
-        dev = max(
-            dev,
-            max(
-                float(np.max(np.abs(trip.value.right[i] - right_sup[i])))
-                for i in range(tree.depth)
-            ),
-        )
-    return dev
+
+
+def _sup_gap(a: np.ndarray, b: np.ndarray) -> float:
+    return float(np.max(np.abs(a - b)))
 
 
 # ----------------------------------------------------------------------
@@ -207,15 +201,11 @@ def default_lower_bound(
     value range, lowered by the z-Lipschitz constant times the largest
     representable integrand and a safety margin.
     """
-    tree = driver.tree
     plain = solve_bsde(terminal, gen, driver)
-    lows = [float(np.min(a)) for a in plain.value.point + plain.value.right]
-    highs = [float(np.max(a)) for a in plain.value.point + plain.value.right]
-    lows += [float(np.min(a)) for a in barrier.point + barrier.right]
-    highs += [float(np.max(a)) for a in barrier.point + barrier.right]
-    lo = min(lows + [float(np.min(terminal))]) - pad
-    hi = max(highs + [float(np.max(terminal))]) + pad
-    return _bound_rows(gen, tree, lo, hi)
+    fields = (plain.value.points, plain.value.rights, barrier.points, barrier.rights, terminal)
+    lo = min(float(np.min(a)) for a in fields) - pad
+    hi = max(float(np.max(a)) for a in fields) + pad
+    return _bound_rows(gen, driver.tree, lo, hi)
 
 
 def _bound_rows(gen: GeneratorSpec, tree: TreeSpace, lo: float, hi: float) -> np.ndarray:
@@ -286,20 +276,16 @@ def barrier_transform(
     dec = snell_envelope(reward, xi + aux.value.point[n])
     lhat = dec.envelope - aux.value
 
-    dom = min(
-        min(float(np.min(lhat.point[i] - barrier.point[i])) for i in range(n + 1)),
-        min(float(np.min(lhat.right[i] - barrier.right[i])) for i in range(n)),
-    )
+    dom = min(np.min(lhat.points - barrier.points), np.min(lhat.rights - barrier.rights))
     margin = -np.inf
     for i in range(n):
-        child = lhat.point[i + 1] + driver.delta_minus(i + 1)
-        cond = child.reshape(-1, 2).mean(axis=1)
+        cond = conditional_expectation(tree, lhat.point[i + 1] + driver.delta_minus(i + 1))
         margin = max(margin, float(np.max(cond + rows[i] * tree.dt - lhat.right[i])))
     return BarrierTransformResult(
         lhat=lhat,
         auxiliary=aux,
         bound=rows,
-        domination_margin=dom,
+        domination_margin=float(dom),
         left_limit_margin=float(margin),
     )
 
@@ -312,8 +298,8 @@ def _check_bound_on_samples(
     terminal: np.ndarray,
     tol: float,
 ) -> None:
-    lo = min(float(min(np.min(a) for a in barrier.point)), float(np.min(terminal))) - 1.0
-    hi = max(float(max(np.max(a) for a in barrier.point)), float(np.max(terminal))) + 1.0
+    lo = min(float(np.min(barrier.points)), float(np.min(terminal))) - 1.0
+    hi = max(float(np.max(barrier.points)), float(np.max(terminal))) + 1.0
     ys = np.linspace(lo, hi, 33)
     zcap = (hi - lo) / (2.0 * tree.sqrt_dt)
     zs = np.linspace(-zcap, zcap, 9)
@@ -427,20 +413,16 @@ def compare_solutions(
         return ComparisonReport(valid=False, reason="problems live on different trees")
     if float(np.max(first.terminal - second.terminal)) > tol:
         return ComparisonReport(valid=False, reason="terminal values are not ordered")
-    for i in range(tree.depth + 1):
-        if float(np.max(first.driver.delta_plus(i) - second.driver.delta_plus(i))) > tol:
-            return ComparisonReport(valid=False, reason="driver right jumps are not ordered")
-        if float(np.max(first.driver.delta_minus(i) - second.driver.delta_minus(i))) > tol:
-            return ComparisonReport(valid=False, reason="driver left jumps are not ordered")
-    barrier_gap = 0.0
-    for i in range(tree.depth + 1):
-        barrier_gap = max(barrier_gap, float(np.max(np.abs(first.barrier.point[i] - second.barrier.point[i]))))
-        if float(np.max(first.barrier.point[i] - second.barrier.point[i])) > tol:
-            return ComparisonReport(valid=False, reason="barriers are not ordered")
-    for i in range(tree.depth):
-        barrier_gap = max(barrier_gap, float(np.max(np.abs(first.barrier.right[i] - second.barrier.right[i]))))
-        if float(np.max(first.barrier.right[i] - second.barrier.right[i])) > tol:
-            return ComparisonReport(valid=False, reason="barriers are not ordered")
+    (plus1, minus1), (plus2, minus2) = _jumps(first.driver), _jumps(second.driver)
+    if float(np.max(plus1 - plus2)) > tol:
+        return ComparisonReport(valid=False, reason="driver right jumps are not ordered")
+    if float(np.max(minus1 - minus2)) > tol:
+        return ComparisonReport(valid=False, reason="driver left jumps are not ordered")
+    point_gap = first.barrier.points - second.barrier.points
+    right_gap = first.barrier.rights - second.barrier.rights
+    if max(np.max(point_gap), np.max(right_gap)) > tol:
+        return ComparisonReport(valid=False, reason="barriers are not ordered")
+    barrier_gap = float(max(np.max(np.abs(point_gap)), np.max(np.abs(right_gap))))
 
     sol1 = solve_reflected_direct(first.terminal, first.gen, first.driver, first.barrier)
     sol2 = solve_reflected_direct(second.terminal, second.gen, second.driver, second.barrier)
@@ -454,11 +436,11 @@ def compare_solutions(
                 valid=False, reason="generators are not ordered along the second solution"
             )
 
-    violation = 0.0
-    for i in range(tree.depth + 1):
-        violation = max(violation, float(np.max(sol1.value.point[i] - sol2.value.point[i])))
-    for i in range(tree.depth):
-        violation = max(violation, float(np.max(sol1.value.right[i] - sol2.value.right[i])))
+    violation = max(
+        0.0,
+        float(np.max(sol1.value.points - sol2.value.points)),
+        float(np.max(sol1.value.rights - sol2.value.rights)),
+    )
     if violation <= ORDER_EQUALITY_TOL * max(sol1.value.scale(), sol2.value.scale()):
         violation = 0.0
 
@@ -470,9 +452,9 @@ def compare_solutions(
         guard = ORDER_EQUALITY_TOL * max(sol1.value.scale(), sol2.value.scale())
         k1, k2 = sol1.increments, sol2.increments
         dk = {
-            "interval": max(float(np.max(k2.interval[i] - k1.interval[i])) for i in range(tree.depth)),
-            "left": max(float(np.max(k2.left[i] - k1.left[i])) for i in range(tree.depth + 1)),
-            "right": max(float(np.max(k2.right[i] - k1.right[i])) for i in range(tree.depth)),
+            "interval": float(np.max(k2.intervals - k1.intervals)),
+            "left": float(np.max(k2.lefts - k1.lefts)),
+            "right": float(np.max(k2.rights - k1.rights)),
         }
         dk = {key: 0.0 if v <= guard else v for key, v in dk.items()}
     return ComparisonReport(
@@ -486,28 +468,22 @@ def compare_solutions(
     )
 
 
+def _jumps(process: AdaptedRegulatedProcess) -> tuple[np.ndarray, np.ndarray]:
+    # right jumps at levels 0..N-1 and left jumps at levels 1..N, heap-ordered;
+    # the others are zero
+    return (
+        process.rights - process.points[: process.rights.size],
+        process.points[1:] - np.repeat(process.rights, 2),
+    )
+
+
 def solution_distance(a: SolutionTriple, b: SolutionTriple) -> dict[str, float]:
     """Sup-node gaps between two triples, per component."""
-    tree = a.value.tree
-    out = {
-        "y": max(
-            max(float(np.max(np.abs(a.value.point[i] - b.value.point[i]))) for i in range(tree.depth + 1)),
-            max(float(np.max(np.abs(a.value.right[i] - b.value.right[i]))) for i in range(tree.depth)),
-        ),
-        "z": max(
-            float(np.max(np.abs(a.integrand[i] - b.integrand[i]))) for i in range(tree.depth)
-        ),
-        "k_interval": max(
-            float(np.max(np.abs(a.increments.interval[i] - b.increments.interval[i])))
-            for i in range(tree.depth)
-        ),
-        "k_left": max(
-            float(np.max(np.abs(a.increments.left[i] - b.increments.left[i])))
-            for i in range(tree.depth + 1)
-        ),
-        "k_right": max(
-            float(np.max(np.abs(a.increments.right[i] - b.increments.right[i])))
-            for i in range(tree.depth)
-        ),
+    ka, kb = a.increments, b.increments
+    return {
+        "y": max(_sup_gap(a.value.points, b.value.points), _sup_gap(a.value.rights, b.value.rights)),
+        "z": max(_sup_gap(za, zb) for za, zb in zip(a.integrand, b.integrand)),
+        "k_interval": _sup_gap(ka.intervals, kb.intervals),
+        "k_left": _sup_gap(ka.lefts, kb.lefts),
+        "k_right": _sup_gap(ka.rights, kb.rights),
     }
-    return out

@@ -97,7 +97,7 @@ def random_process(
         n = tree.n_nodes(i)
         mask = rng.uniform(size=n) < jump_rate
         right.append(point[i] + mask * rng.uniform(-jump_scale, jump_scale, n))
-    return AdaptedRegulatedProcess(tree, point, right)
+    return AdaptedRegulatedProcess.from_levels(tree, point, right)
 
 
 def random_terminal(
@@ -274,8 +274,8 @@ def refinable_scenario(depth: int, horizon: float = DEFAULT_HORIZON) -> Scenario
         if i < depth:
             right.append(base + _quarter_jump(t, horizon, -0.6, 0.3))
             vright.append(vpoint[i] + _quarter_jump(t, horizon, -0.4, 0.2))
-    barrier = AdaptedRegulatedProcess(tree, point, right)
-    driver = AdaptedRegulatedProcess(tree, vpoint, vright)
+    barrier = AdaptedRegulatedProcess.from_levels(tree, point, right)
+    driver = AdaptedRegulatedProcess.from_levels(tree, vpoint, vright)
     terminal = np.maximum(0.3 * noise[depth] + 0.2, barrier.point[depth])
     return Scenario(
         f"refinable-{depth}",
@@ -290,14 +290,9 @@ def refinable_scenario(depth: int, horizon: float = DEFAULT_HORIZON) -> Scenario
 def _lifted_process(
     process: AdaptedRegulatedProcess, rng: np.random.Generator, lift: float
 ) -> AdaptedRegulatedProcess:
-    tree = process.tree
-    point = [
-        p + rng.uniform(0.0, lift, tree.n_nodes(i)) for i, p in enumerate(process.point)
-    ]
-    right = [
-        r + rng.uniform(0.0, lift, tree.n_nodes(i)) for i, r in enumerate(process.right)
-    ]
-    return AdaptedRegulatedProcess(tree, point, right)
+    point = process.points + rng.uniform(0.0, lift, process.points.size)
+    right = process.rights + rng.uniform(0.0, lift, process.rights.size)
+    return AdaptedRegulatedProcess(process.tree, point, right)
 
 
 def ordered_pair(
@@ -361,15 +356,11 @@ def perturbation_pair(
     deltas = rng.uniform(-0.3, 0.3, depth)
     shift = float(rng.uniform(-0.4, 0.4))
     pert_scale = float(rng.uniform(0.05, 0.25))
-    point = [
-        p + rng.uniform(-pert_scale, pert_scale, tree.n_nodes(i))
-        for i, p in enumerate(barrier.point)
-    ]
-    right = [
-        r + rng.uniform(-pert_scale, pert_scale, tree.n_nodes(i))
-        for i, r in enumerate(barrier.right)
-    ]
-    barrier2 = AdaptedRegulatedProcess(tree, point, right)
+    barrier2 = AdaptedRegulatedProcess(
+        tree,
+        barrier.points + rng.uniform(-pert_scale, pert_scale, barrier.points.size),
+        barrier.rights + rng.uniform(-pert_scale, pert_scale, barrier.rights.size),
+    )
     headroom = abs(shift) + pert_scale
     terminal = random_terminal(tree, rng, barrier, margin=headroom)
     first = Scenario(f"{name}-base", tree, terminal, gen, driver, barrier)
@@ -441,14 +432,14 @@ def scenario_from_config(
         bright = parse_level_rows(section["barrier_right"], tree, tree.depth)
     else:
         bright = [row.copy() for row in bpoint[:-1]]
-    barrier = AdaptedRegulatedProcess(tree, bpoint, bright)
+    barrier = AdaptedRegulatedProcess.from_levels(tree, bpoint, bright)
     if "driver_point" in section:
         vpoint = parse_level_rows(section["driver_point"], tree, tree.depth + 1)
         if "driver_right" in section:
             vright = parse_level_rows(section["driver_right"], tree, tree.depth)
         else:
             vright = [row.copy() for row in vpoint[:-1]]
-        driver = AdaptedRegulatedProcess(tree, vpoint, vright)
+        driver = AdaptedRegulatedProcess.from_levels(tree, vpoint, vright)
     else:
         driver = AdaptedRegulatedProcess.zeros(tree)
     if "terminal" not in section:

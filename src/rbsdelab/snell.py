@@ -41,7 +41,7 @@ class MertensDecomposition:
 
     envelope: AdaptedRegulatedProcess
     martingale: list[np.ndarray]
-    integrand: list[np.ndarray]
+    integrand: tuple[np.ndarray, ...]
     increasing: KIncrements
 
 
@@ -127,4 +127,4 @@ def brute_force_snell(
     """
     tree = barrier.tree
     point_sup, right_sup = rule_value_fields(tree, barrier, np.asarray(terminal, dtype=float))
-    return AdaptedRegulatedProcess(tree, point_sup, right_sup)
+    return AdaptedRegulatedProcess.from_levels(tree, point_sup, right_sup)

@@ -26,7 +26,7 @@ def small_tree(depth, horizon=1.0):
 def random_driver(tree, rng, scale=0.5):
     point = [scale * rng.standard_normal(tree.n_nodes(i)) for i in range(tree.depth + 1)]
     right = [scale * rng.standard_normal(tree.n_nodes(i)) for i in range(tree.depth)]
-    return AdaptedRegulatedProcess(tree, point, right)
+    return AdaptedRegulatedProcess.from_levels(tree, point, right)
 
 
 class TestGeneratorRegistry:

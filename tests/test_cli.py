@@ -1,5 +1,7 @@
+import re
 import textwrap
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -187,6 +189,21 @@ class TestSolveVerb:
             assert len(started) <= expected + 1 + jobs
         assert sorted(started) == list(range(12))
 
+    def test_reduction_method_passes_without_a_route_gap(self, tmp_path):
+        config = write_config(tmp_path, RANDOM_BATCH.replace("method = both", "method = reduction"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", config, "--out-dir", str(out)]) == 0
+        summary = read_rows(out / "summary.csv")
+        assert len(summary) == 4
+        assert all(row["status"] == "pass" and row["route_gap"] == "" for row in summary)
+
+    def test_unknown_method_is_a_usage_error(self, tmp_path, capsys):
+        config = write_config(tmp_path, RANDOM_BATCH.replace("method = both", "method = fastest"))
+        out = tmp_path / "out"
+        assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
+        assert "unknown method 'fastest'" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_config(
             tmp_path,
@@ -344,6 +361,26 @@ class TestCompareVerb:
         assert kinds == {"ordered", "equal-barrier"}
         assert all(row["status"] == "pass" for row in summary)
         assert all(float(row["y_violation"]) == 0.0 for row in summary)
+
+
+README_CONFIGS = re.findall(
+    r"```ini\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S
+)
+
+
+def config_kind(text):
+    return re.search(r"^kind = (\S+)$", text, re.M).group(1)
+
+
+@pytest.mark.parametrize("text", README_CONFIGS, ids=config_kind)
+def test_readme_configs_run_as_written(tmp_path, text):
+    config = write_config(tmp_path, text)
+    argv = [config_kind(text), "--config", config, "--out-dir", str(tmp_path / "out")]
+    assert main(argv) == 0
+
+
+def test_readme_has_a_config_for_every_verb():
+    assert {config_kind(text) for text in README_CONFIGS} == set(cli._RUNNERS)
 
 
 class TestErrorHandling:

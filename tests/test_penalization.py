@@ -24,7 +24,7 @@ def small_tree(depth, horizon=1.0):
 
 def spike_setup():
     tree = small_tree(1)
-    barrier = AdaptedRegulatedProcess(tree, [[5.0], [0.0, 0.0]], [[0.0]])
+    barrier = AdaptedRegulatedProcess.from_levels(tree, [[5.0], [0.0, 0.0]], [[0.0]])
     return tree, barrier, np.zeros(2), make_generator("zero"), AdaptedRegulatedProcess.zeros(tree)
 
 
@@ -33,7 +33,7 @@ class TestSigmaDetection:
         tree = small_tree(2)
         point = [np.array([0.0]), np.zeros(2), np.zeros(4)]
         right = [np.array([-0.3]), np.zeros(2)]
-        barrier = AdaptedRegulatedProcess(tree, point, right)
+        barrier = AdaptedRegulatedProcess.from_levels(tree, point, right)
         driver = AdaptedRegulatedProcess.zeros(tree)
         for n in (1, 2, 3):
             assert sigma_array(barrier, driver, n).count() == 0
@@ -45,7 +45,7 @@ class TestSigmaDetection:
     def test_driver_jumps_also_trigger(self):
         tree = small_tree(1)
         barrier = AdaptedRegulatedProcess.zeros(tree)
-        driver = AdaptedRegulatedProcess(tree, [[0.0], [0.0, 0.0]], [[-2.0]])
+        driver = AdaptedRegulatedProcess.from_levels(tree, [[0.0], [0.0, 0.0]], [[-2.0]])
         assert sigma_array(barrier, driver, 1).count() == 1
 
     def test_detection_sets_are_nested(self, rng):

@@ -41,7 +41,7 @@ def as_problem(sc):
 class TestDirectSolve:
     def test_single_step_spike(self):
         tree = small_tree(1)
-        barrier = AdaptedRegulatedProcess(tree, [[5.0], [0.0, 0.0]], [[0.0]])
+        barrier = AdaptedRegulatedProcess.from_levels(tree, [[5.0], [0.0, 0.0]], [[0.0]])
         trip = solve_reflected_direct(
             np.zeros(2), make_generator("zero"), AdaptedRegulatedProcess.zeros(tree), barrier
         )
@@ -110,7 +110,7 @@ class TestVerification:
         # solve against a spiked barrier, then verify against a lowered one:
         # the dynamics still hold but the charge now acts off the barrier
         tree = small_tree(1)
-        barrier = AdaptedRegulatedProcess(tree, [[5.0], [0.0, 0.0]], [[0.0]])
+        barrier = AdaptedRegulatedProcess.from_levels(tree, [[5.0], [0.0, 0.0]], [[0.0]])
         terminal = np.zeros(2)
         driver = AdaptedRegulatedProcess.zeros(tree)
         gen = make_generator("zero")
@@ -269,12 +269,32 @@ class TestComparison:
     def test_unordered_driver_jumps_are_rejected(self, rng):
         sc = random_scenario(rng, depth=2, name="drv")
         shrunk = sc.driver.copy()
-        shrunk.right[0] = shrunk.right[0] - 1.0  # shrink one right jump only
+        shrunk.right[0][:] -= 1.0  # shrink one right jump only
         report = compare_solutions(
             as_problem(sc), ReflectedProblem(sc.terminal, sc.gen, shrunk, sc.barrier)
         )
         assert not report.valid
         assert "driver" in report.reason
+
+    def test_unordered_terminal_left_jumps_are_rejected(self, rng):
+        sc = random_scenario(rng, depth=2, name="drv-left")
+        lowered = sc.driver.copy()
+        lowered.point[2][:] -= 1.0  # changes only the left jumps at the horizon
+        report = compare_solutions(
+            as_problem(sc), ReflectedProblem(sc.terminal, sc.gen, lowered, sc.barrier)
+        )
+        assert not report.valid
+        assert report.reason == "driver left jumps are not ordered"
+
+    def test_unordered_barrier_right_values_are_rejected(self, rng):
+        sc = random_scenario(rng, depth=2, name="barr-right")
+        lowered = sc.barrier.copy()
+        lowered.rights[:] -= 0.5
+        report = compare_solutions(
+            as_problem(sc), ReflectedProblem(sc.terminal, sc.gen, sc.driver, lowered)
+        )
+        assert not report.valid
+        assert report.reason == "barriers are not ordered"
 
     def test_unordered_barriers_are_rejected(self, rng):
         sc = random_scenario(rng, depth=2, name="barr")

@@ -21,7 +21,7 @@ def dominated_barrier(tree, rng, scale=1.0):
     """Random barrier together with a terminal payoff that dominates it."""
     point = [scale * rng.standard_normal(tree.n_nodes(i)) for i in range(tree.depth + 1)]
     right = [scale * rng.standard_normal(tree.n_nodes(i)) for i in range(tree.depth)]
-    barrier = AdaptedRegulatedProcess(tree, point, right)
+    barrier = AdaptedRegulatedProcess.from_levels(tree, point, right)
     terminal = barrier.point[tree.depth] + np.abs(rng.standard_normal(tree.n_nodes(tree.depth)))
     return barrier, terminal
 
@@ -29,7 +29,7 @@ def dominated_barrier(tree, rng, scale=1.0):
 class TestSingleStepExamples:
     def test_root_spike_is_absorbed_by_a_right_jump(self):
         tree = small_tree(1)
-        barrier = AdaptedRegulatedProcess(tree, [[5.0], [0.0, 0.0]], [[0.0]])
+        barrier = AdaptedRegulatedProcess.from_levels(tree, [[5.0], [0.0, 0.0]], [[0.0]])
         dec = snell_envelope(barrier, [0.0, 0.0])
         assert dec.envelope.point[0][0] == 5.0
         assert dec.envelope.right[0][0] == 0.0
@@ -41,7 +41,7 @@ class TestSingleStepExamples:
 
     def test_interval_spike_is_absorbed_by_a_left_jump(self):
         tree = small_tree(1)
-        barrier = AdaptedRegulatedProcess(tree, [[0.0], [0.0, 0.0]], [[3.0]])
+        barrier = AdaptedRegulatedProcess.from_levels(tree, [[0.0], [0.0, 0.0]], [[3.0]])
         dec = snell_envelope(barrier, [0.0, 0.0])
         assert dec.envelope.point[0][0] == 3.0
         assert dec.envelope.right[0][0] == 3.0
@@ -64,7 +64,7 @@ class TestSingleStepExamples:
 
     def test_rejects_terminal_below_the_barrier(self):
         tree = small_tree(1)
-        barrier = AdaptedRegulatedProcess(tree, [[0.0], [1.0, 0.0]], [[0.0]])
+        barrier = AdaptedRegulatedProcess.from_levels(tree, [[0.0], [1.0, 0.0]], [[0.0]])
         with pytest.raises(ValueError, match="fails to dominate"):
             snell_envelope(barrier, [0.0, 0.0])
 
@@ -121,7 +121,7 @@ class TestEnvelopeProperties:
                 cond = point[i + 1].reshape(-1, 2).mean(axis=1)
                 right[i] = np.maximum(cond, barrier.right[i]) + rng.uniform(0.0, 1.0, 1 << i)
                 point[i] = np.maximum(right[i], barrier.point[i]) + rng.uniform(0.0, 1.0, 1 << i)
-            other = AdaptedRegulatedProcess(tree, point, right)
+            other = AdaptedRegulatedProcess.from_levels(tree, point, right)
             for level in range(4):
                 assert np.all(dec.envelope.point[level] <= point[level] + 1e-12)
                 assert np.all(dec.envelope.right[level] <= right[level] + 1e-12)
@@ -154,7 +154,7 @@ class TestEnvelopeProperties:
 class TestKIncrements:
     def test_cumulative_hand_example(self):
         tree = small_tree(1)
-        k = KIncrements(
+        k = KIncrements.from_levels(
             tree=tree,
             interval=[np.array([0.5])],
             left=[np.zeros(1), np.array([1.0, 1.0])],

@@ -54,7 +54,8 @@ def reference_envelope(barrier, terminal):
     point = [None] * (n + 1)
     right = [None] * n
     integrand = [None] * n
-    k = KIncrements.zeros(tree)
+    zero = KIncrements.zeros(tree)
+    k_interval, k_left, k_right = list(zero.interval), list(zero.left), list(zero.right)
     point[n] = np.asarray(terminal, dtype=float).copy()
     for i in range(n - 1, -1, -1):
         child = point[i + 1]
@@ -62,11 +63,11 @@ def reference_envelope(barrier, terminal):
         integrand[i] = (child[1::2] - child[0::2]) / (2.0 * tree.sqrt_dt)
         ell = barrier.right[i]
         left_charge = np.maximum(ell - cond, 0.0)
-        k.left[i + 1] = np.repeat(left_charge, 2)
+        k_left[i + 1] = np.repeat(left_charge, 2)
         right[i] = np.maximum(cond, ell)
-        k.right[i] = np.maximum(barrier.point[i] - right[i], 0.0)
+        k_right[i] = np.maximum(barrier.point[i] - right[i], 0.0)
         point[i] = np.maximum(right[i], barrier.point[i])
-    return point, right, integrand, k
+    return point, right, integrand, KIncrements.from_levels(tree, k_interval, k_left, k_right)
 
 
 def reference_reflected(terminal, gen, driver, interval_floor, left_floor, point_floor):
@@ -76,7 +77,8 @@ def reference_reflected(terminal, gen, driver, interval_floor, left_floor, point
     point = [None] * (n + 1)
     right = [None] * n
     integrand = [None] * n
-    k = KIncrements.zeros(tree)
+    zero = KIncrements.zeros(tree)
+    k_interval, k_left, k_right = list(zero.interval), list(zero.left), list(zero.right)
     point[n] = np.asarray(terminal, dtype=float).copy()
     for i in range(n - 1, -1, -1):
         w = point[i + 1] + driver.delta_minus(i + 1)
@@ -86,14 +88,14 @@ def reference_reflected(terminal, gen, driver, interval_floor, left_floor, point
         y = implicit_interval_step(gen, t, cond, z, dt, floor=interval_floor[i])
         total = np.maximum(y - cond - gen(t, y, z) * dt, 0.0)
         left = np.minimum(np.maximum(left_floor[i] - cond, 0.0), total)
-        k.left[i + 1] = np.repeat(left, 2)
-        k.interval[i] = total - left
+        k_left[i + 1] = np.repeat(left, 2)
+        k_interval[i] = total - left
         integrand[i] = z
         right[i] = y
         up = y + driver.delta_plus(i)
-        k.right[i] = np.maximum(point_floor[i] - up, 0.0)
+        k_right[i] = np.maximum(point_floor[i] - up, 0.0)
         point[i] = np.maximum(up, point_floor[i])
-    return point, right, integrand, k
+    return point, right, integrand, KIncrements.from_levels(tree, k_interval, k_left, k_right)
 
 
 def reference_penalized(terminal, gen, driver, barrier, n, scheme):
@@ -103,7 +105,8 @@ def reference_penalized(terminal, gen, driver, barrier, n, scheme):
     point = [None] * (depth + 1)
     right = [None] * depth
     integrand = [None] * depth
-    k = KIncrements.zeros(tree)
+    zero = KIncrements.zeros(tree)
+    k_interval, k_left, k_right = list(zero.interval), list(zero.left), list(zero.right)
     point[depth] = np.asarray(terminal, dtype=float).copy()
     for i in range(depth - 1, -1, -1):
         w = point[i + 1] + driver.delta_minus(i + 1)
@@ -111,17 +114,17 @@ def reference_penalized(terminal, gen, driver, barrier, n, scheme):
         z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
         t = tree.time(i)
         y = implicit_interval_step(gen, t, cond, z, tree.dt, floor=barrier.right[i], penalty=float(n))
-        k.interval[i] = np.maximum(y - cond - np.asarray(gen(t, y, z), dtype=float) * tree.dt, 0.0)
+        k_interval[i] = np.maximum(y - cond - np.asarray(gen(t, y, z), dtype=float) * tree.dt, 0.0)
         integrand[i] = z
         right[i] = y
         up = y + driver.delta_plus(i)
         if sigma is not None and bool(np.any(sigma.detected[i])):
             mask = sigma.detected[i]
-            k.right[i] = np.where(mask, np.maximum(barrier.point[i] - up, 0.0), 0.0)
-            point[i] = up + k.right[i]
+            k_right[i] = np.where(mask, np.maximum(barrier.point[i] - up, 0.0), 0.0)
+            point[i] = up + k_right[i]
         else:
             point[i] = up
-    return point, right, integrand, k
+    return point, right, integrand, KIncrements.from_levels(tree, k_interval, k_left, k_right)
 
 
 def arrays(point, right, integrand, k):
@@ -223,7 +226,7 @@ def drawn_instance(depth, kind, seed):
     def process(scale):
         point = [scale * rng.standard_normal(tree.n_nodes(i)) for i in range(depth + 1)]
         right = [scale * rng.standard_normal(tree.n_nodes(i)) for i in range(depth)]
-        return AdaptedRegulatedProcess(tree, point, right)
+        return AdaptedRegulatedProcess.from_levels(tree, point, right)
 
     driver = process(0.3) if rng.random() < 0.75 else AdaptedRegulatedProcess.zeros(tree)
     barrier = process(1.0)

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from rbsdelab.grid_path import TimeGrid
+from rbsdelab.rbsde import solve_reflected_direct
+from rbsdelab.scenarios import random_scenario
 from rbsdelab.tree_space import (
     ORACLE_DEPTH_CAP,
     AdaptedRegulatedProcess,
@@ -25,7 +27,7 @@ def small_tree(depth, horizon=1.0):
 def random_process(tree, rng, scale=1.0):
     point = [scale * rng.standard_normal(tree.n_nodes(i)) for i in range(tree.depth + 1)]
     right = [scale * rng.standard_normal(tree.n_nodes(i)) for i in range(tree.depth)]
-    return AdaptedRegulatedProcess(tree, point, right)
+    return AdaptedRegulatedProcess.from_levels(tree, point, right)
 
 
 class TestTreeSpace:
@@ -209,7 +211,7 @@ def replay_reward(tree, rule, running, barrier, terminal, driver):
 class TestExpectedReward:
     def test_stopping_at_the_root_pays_the_barrier(self):
         tree = small_tree(1)
-        barrier = AdaptedRegulatedProcess(tree, [[5.0], [0.0, 0.0]], [[0.0]])
+        barrier = AdaptedRegulatedProcess.from_levels(tree, [[5.0], [0.0, 0.0]], [[0.0]])
         rule = StoppingRule(0, ("point",))
         assert expected_reward(tree, rule, None, barrier, [0.0, 0.0]) == 5.0
 
@@ -319,6 +321,46 @@ class TestRuleValueFields:
             rule_value_fields(tree, barrier, np.zeros(tree.n_nodes(tree.depth)))
 
 
+class TestHeapLayout:
+    def test_levels_are_views_of_the_heap(self, rng):
+        tree = small_tree(3)
+        proc = random_process(tree, rng)
+        for i in range(4):
+            assert np.shares_memory(proc.point[i], proc.points)
+            for k in range(tree.n_nodes(i)):
+                assert proc.point[i][k] == proc.points[(1 << i) - 1 + k]
+        for i in range(3):
+            assert np.shares_memory(proc.right[i], proc.rights)
+        proc.point[2][1] = 7.0
+        assert proc.points[4] == 7.0
+
+    def test_level_tuples_reject_item_assignment(self, rng):
+        proc = random_process(small_tree(2), rng)
+        with pytest.raises(TypeError):
+            proc.point[1] = np.zeros(2)
+        with pytest.raises(TypeError):
+            proc.right[0] = np.zeros(1)
+
+    def test_solved_fields_are_views_of_the_returned_arrays(self, rng):
+        sc = random_scenario(rng, depth=3, name="heap")
+        trip = solve_reflected_direct(sc.terminal, sc.gen, sc.driver, sc.barrier)
+        k = trip.increments
+        for i in range(3):
+            assert np.shares_memory(trip.value.right[i], trip.value.rights)
+            assert np.shares_memory(k.interval[i], k.intervals)
+            assert np.shares_memory(k.right[i], k.rights)
+            assert np.shares_memory(trip.integrand[i], trip.integrand[0].base)
+        assert np.shares_memory(k.left[3], k.lefts)
+
+    def test_from_levels_packs_in_heap_order(self):
+        tree = small_tree(1)
+        proc = AdaptedRegulatedProcess.from_levels(tree, [[1.0], [2.0, 3.0]], [[4.0]])
+        np.testing.assert_array_equal(proc.points, [1.0, 2.0, 3.0])
+        np.testing.assert_array_equal(proc.rights, [4.0])
+        with pytest.raises(ValueError, match="heap-ordered entries"):
+            AdaptedRegulatedProcess(tree, np.zeros(2), np.zeros(1))
+
+
 class TestAdaptedRegulatedProcess:
     def test_jump_conventions(self, rng):
         tree = small_tree(2)
@@ -368,13 +410,13 @@ class TestAdaptedRegulatedProcess:
     def test_validation_errors(self):
         tree = small_tree(2)
         with pytest.raises(ValueError, match="level arrays"):
-            AdaptedRegulatedProcess(tree, [[0.0]], [[0.0], [0.0, 0.0]])
+            AdaptedRegulatedProcess.from_levels(tree, [[0.0]], [[0.0], [0.0, 0.0]])
         with pytest.raises(ValueError, match="entries"):
-            AdaptedRegulatedProcess(
+            AdaptedRegulatedProcess.from_levels(
                 tree, [[0.0], [0.0, 0.0], [0.0, 0.0]], [[0.0], [0.0, 0.0]]
             )
         with pytest.raises(ValueError, match="finite"):
-            AdaptedRegulatedProcess(
+            AdaptedRegulatedProcess.from_levels(
                 tree,
                 [[np.inf], [0.0, 0.0], [0.0] * 4],
                 [[0.0], [0.0, 0.0]],
