@@ -1,14 +1,15 @@
 """The package's one backward sweep, and the unreflected equation it solves.
 
-The interval step is implicit in y: each level solves the scalar fixed point
-y = E + f(t, y, z) dt per node, which is contractive when the generator's
-y-variation over a step stays below one.  Left jumps of the driver are folded
-into the conditional-expectation input, right jumps are added back at the
-point, and the integrand Z comes from the exact one-step martingale
-representation.  :func:`backward_sweep` optionally reflects on a floor
-inside the intervals (or penalizes below it) and on a floor at the points;
-the unreflected, reflected and penalized solvers and the Snell envelope are
-all calls of it.
+The interval step is implicit in y: each level solves the scalar equation
+y = E + f(t, y, z) dt per node, whose residual is strictly increasing when
+the generator's one-sided y-slope times the step stays below one, by Newton
+steps on the generator's declared y-slope inside a bisection bracket.  Left
+jumps of the driver are folded into the conditional-expectation input, right
+jumps are added back at the point, and the integrand Z comes from the exact
+one-step martingale representation.  :func:`backward_sweep` optionally
+reflects on a floor inside the intervals (or penalizes below it) and on a
+floor at the points; the unreflected, reflected and penalized solvers and the
+Snell envelope are all calls of it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ __all__ = [
 ]
 
 FIXED_POINT_TOL = 1e-14
-FIXED_POINT_MAX_ITER = 100
 
 
 class SolverError(RuntimeError):
@@ -50,13 +50,18 @@ class GeneratorSpec:
     ``fn`` must accept scalar t and numpy arrays y, z of a common shape and
     return an array of that shape.  ``lipschitz_z`` bounds |f(t,y,z)-f(t,y,z')|
     by a multiple of |z-z'|; ``monotone_y`` bounds (y-y')(f(t,y,z)-f(t,y',z))
-    by a multiple of (y-y')**2 and may be negative.
+    by a multiple of (y-y')**2 and may be negative.  ``dy``, if given, is the
+    partial derivative of f in y at (t, y, z), as an array of y's shape or a
+    scalar; the implicit step takes Newton steps on it.  ``None`` means the
+    step treats the slope as zero, which makes each of its steps a
+    fixed-point step: exact for drivers that ignore y.
     """
 
     name: str
     fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
     lipschitz_z: float
     monotone_y: float
+    dy: Callable[[float, np.ndarray, np.ndarray], np.ndarray | float] | None = None
 
     def __call__(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(t, y, z), dtype=float)
@@ -75,8 +80,10 @@ def make_generator(spec: str) -> GeneratorSpec:
     """Build a registry generator from its textual name.
 
     Supported names: ``zero``, ``constant:<c>``, ``linear:<a>,<b>`` meaning
-    f = a*y + b*z, and ``monotone_cubic:<mu>`` meaning f = -y**3 + mu*y.
-    Node-dependent tables are built with :func:`table_generator` instead.
+    f = a*y + b*z, and ``monotone_cubic:<mu>`` meaning f = -y**3 + mu*y,
+    evaluated as -(y*y*y) + mu*y.  The linear and cubic ones declare their
+    y-slope.  Node-dependent tables are built with :func:`table_generator`
+    instead.
     """
     name = spec.strip()
     if name == "zero":
@@ -89,10 +96,12 @@ def make_generator(spec: str) -> GeneratorSpec:
         if len(parts) != 2:
             raise ValueError(f"linear generator needs two coefficients, got {spec!r}")
         a, b = float(parts[0]), float(parts[1])
-        return GeneratorSpec(name, lambda t, y, z: a * y + b * z, abs(b), a)
+        return GeneratorSpec(name, lambda t, y, z: a * y + b * z, abs(b), a, lambda t, y, z: a)
     if name.startswith("monotone_cubic:"):
         mu = float(name.split(":", 1)[1])
-        return GeneratorSpec(name, lambda t, y, z: -(y ** 3) + mu * y, 0.0, mu)
+        return GeneratorSpec(
+            name, lambda t, y, z: -(y * y * y) + mu * y, 0.0, mu, lambda t, y, z: mu - 3.0 * y * y
+        )
     raise ValueError(f"unknown generator {spec!r}")
 
 
@@ -141,7 +150,8 @@ def validate_generator(
     ------
     ValueError
         If a sampled pair violates the z-Lipschitz bound or the one-sided
-        y-monotonicity bound beyond ``tol``.
+        y-monotonicity bound beyond ``tol``, or a declared y-slope differs
+        from a central difference of ``fn``.
     """
     for _ in range(samples):
         t = float(rng.choice(t_values))
@@ -155,6 +165,15 @@ def validate_generator(
         fy2 = float(gen(t, np.array([y2]), np.array([z]))[0])
         if (y - y2) * (fy - fy2) > gen.monotone_y * (y - y2) ** 2 + tol:
             raise ValueError(f"generator {gen.name} violates its y-monotonicity constant")
+        if gen.dy is not None:
+            # the difference's own error is far below this tolerance on the box
+            h = 1e-6 * (1.0 + abs(y))
+            up = float(gen(t, np.array([y + h]), np.array([z]))[0])
+            down = float(gen(t, np.array([y - h]), np.array([z]))[0])
+            difference = (up - down) / (2.0 * h)
+            declared = float(np.broadcast_to(gen.dy(t, y_arr, np.array([z])), (1,))[0])
+            if abs(declared - difference) > 1e-6 * (1.0 + abs(difference)) + tol:
+                raise ValueError(f"generator {gen.name} declares a wrong y-slope")
 
 
 def check_contraction(gen: GeneratorSpec, tree: TreeSpace) -> None:
@@ -180,54 +199,98 @@ def implicit_interval_step(
 ) -> np.ndarray:
     """Solve y = cond + f(t, y, z) dt (+ reflection or penalty) per node.
 
-    With ``floor`` set, the update is clipped to the floor, giving the
-    reflected solution max(cond + f dt, floor).  With a positive ``penalty``
-    n, the linear penalty n*dt*(floor - y)^+ is absorbed in closed form.
-    Fixed-point iteration handles the contractive case; when the local slope
-    of f in y is too steep for that, the solver falls back to bisection on
-    the residual y - update(y), which is strictly increasing with slope at
-    least 1 - max(0, monotone_y)*dt, so the root is unique and bracketed.
-    Bisection stops at the first round that leaves the bracket unchanged at
-    every node: a round is a pure function of the bracket, so every later
-    round would repeat it and the result is bit-identical to running all
-    130 halvings.
+    The residual y - cond - f(t, y, z) dt is strictly increasing, with slope
+    at least 1 - max(0, monotone_y)*dt, so its root is unique and bracketed;
+    :func:`_newton_root` finds it by Newton steps on the declared slope
+    ``gen.dy`` inside that bracket.  With ``floor`` set, the reflected
+    solution max(cond + f dt, floor) is that root clipped to the floor.  With
+    a positive ``penalty`` n, the nodes whose root lies below the floor take
+    the root of the smooth penalized equation
+    (1 + n dt) y = cond + f dt + n dt floor instead.  If the result misses
+    the residual tolerance, bisection on the full update is the last resort.
+    It stops at the first round that leaves the bracket unchanged at every
+    node: a round is a pure function of the bracket, so every later round
+    would repeat it and the result is bit-identical to running all 130
+    halvings.
 
     Raises
     ------
     SolverError
-        If neither route reaches the residual tolerance; a NaN residual
-        never does.
+        If monotone_y*dt >= 1, or if no route reaches the residual
+        tolerance; a NaN residual never does.
     """
 
+    n_dt = penalty * dt
+
+    def drift(values: np.ndarray) -> np.ndarray:
+        return cond + gen(t, values, z) * dt
+
+    def drift_slope(values: np.ndarray):
+        return 0.0 if gen.dy is None else gen.dy(t, values, z) * dt
+
+    def relax(values: np.ndarray) -> np.ndarray:
+        return (values + n_dt * floor) / (1.0 + n_dt)
+
     def update(values: np.ndarray) -> np.ndarray:
-        drift = cond + gen(t, values, z) * dt
+        d = drift(values)
         if penalty > 0.0:
             assert floor is not None
-            relaxed = (drift + penalty * dt * floor) / (1.0 + penalty * dt)
-            return np.where(drift >= floor, drift, relaxed)
-        if floor is not None:
-            return np.maximum(drift, floor)
-        return drift
+            return np.where(d >= floor, d, relax(d))
+        return d if floor is None else np.maximum(d, floor)
 
-    start = cond.copy()
+    slope = 1.0 - max(0.0, gen.monotone_y) * dt
+    if slope <= 0.0:
+        raise SolverError(f"implicit step not solvable at t={t:.6g}: monotone_y*dt >= 1")
     scale = max(1.0, float(np.max(np.abs(cond))), float(np.max(np.abs(floor))) if floor is not None else 0.0)
-    y = start
-    prev_err = np.inf
-    for round_ in range(FIXED_POINT_MAX_ITER):
-        # divergence here is expected for steep generators and triggers the
-        # bisection fallback, so overflow must not warn
-        with np.errstate(over="ignore", invalid="ignore"):
-            y_next = update(y)
-        if not np.all(np.isfinite(y_next)):
-            break
-        err = float(np.max(np.abs(y_next - y)))
-        y = y_next
-        if err <= FIXED_POINT_TOL * scale:
-            return y
-        if round_ >= 8 and err >= prev_err:
-            break
-        prev_err = err
-    return _bisect_step(update, gen, start, dt, t, scale)
+    # a steep generator overflows far outside the bracket, where the candidate
+    # is replaced by the midpoint, so overflow must not warn
+    with np.errstate(over="ignore", invalid="ignore"):
+        y = _newton_root(drift, drift_slope, cond, slope)
+        if penalty > 0.0:
+            relaxed = _newton_root(
+                lambda v: relax(drift(v)), lambda v: drift_slope(v) / (1.0 + n_dt), y, slope
+            )
+            y = np.where(y < floor, relaxed, y)
+        elif floor is not None:
+            y = np.maximum(y, floor)
+        err = float(np.max(np.abs(y - update(y))))
+    if not err <= FIXED_POINT_TOL * scale:
+        return _bisect_step(update, gen, cond, dt, t, scale)
+    return y
+
+
+def _newton_root(update, update_slope, start: np.ndarray, slope: float) -> np.ndarray:
+    """Root of y - update(y) per node: Newton steps kept inside a bisection bracket.
+
+    ``update_slope`` is the y-derivative of ``update`` (0.0 when unknown,
+    which makes each step a fixed-point step), and ``slope`` a lower bound
+    on the residual's slope, so start +- (|residual|/slope + 1) brackets the
+    root.  Each round moves the bracket to the current iterate by the sign
+    of its residual and replaces a candidate outside the bracket (bounds
+    included) by the bracket's midpoint.  Where the update's slope is zero
+    the candidate is the update itself, so a flat generator ends on
+    update(start) bit for bit.  The loop stops once every node's candidate
+    repeats its current or its previous iterate, the last-ulp 2-cycle.
+    """
+    u = update(start)
+    width = np.abs(start - u) / slope + 1.0
+    lo = start - width
+    hi = start + width
+    y = prev = start
+    for _ in range(130):
+        # in place: fewer level-sized temporaries keep a deep sweep's peak memory down
+        residual = y - u
+        np.copyto(lo, y, where=residual < 0.0)
+        np.copyto(hi, y, where=residual > 0.0)
+        du = update_slope(y)
+        candidate = np.subtract(y, np.divide(residual, 1.0 - du, out=residual), out=residual)
+        np.copyto(candidate, u, where=du == 0.0)
+        np.copyto(candidate, 0.5 * (lo + hi), where=~((lo <= candidate) & (candidate <= hi)))
+        if np.all((candidate == y) | (candidate == prev)):
+            return candidate
+        prev, y = y, candidate
+        u = update(y)
+    return y
 
 
 def _bisect_step(update, gen: GeneratorSpec, start: np.ndarray, dt: float, t: float, scale: float) -> np.ndarray:
@@ -463,9 +526,9 @@ def exponential_transform(
 
     The transformed generator is exp(a t) f(t, exp(-a t) y, exp(-a t) z) - a y,
     which keeps the z-Lipschitz constant and shifts the y-monotonicity
-    constant down by ``rate``.  Driver jumps scale by the factor at their own
-    instant; barrier interval values scale by the factor at the interval's
-    left end.  The components of ``solution`` are scaled the same way
+    constant and the y-slope down by ``rate``.  Driver jumps scale by the
+    factor at their own instant; barrier interval values scale by the factor
+    at the interval's left end.  The components of ``solution`` are scaled the same way
     (increments of the reflecting process by the factor at the instant they
     charge).  The scaled candidate solves
     the transformed problem up to a first-order defect in the step size.
@@ -476,16 +539,24 @@ def exponential_transform(
     xi_t = np.asarray(terminal, dtype=float) * horizon_factor
 
     base_fn = gen.fn
+    base_dy = gen.dy
 
     def transformed_fn(t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         e = np.exp(a * t)
         return e * np.asarray(base_fn(t, y / e, z / e), dtype=float) - a * y
+
+    def transformed_dy(t: float, y: np.ndarray, z: np.ndarray):
+        if base_dy is None:
+            return -a
+        e = np.exp(a * t)
+        return base_dy(t, y / e, z / e) - a
 
     gen_t = GeneratorSpec(
         name=f"expshift[{a:g}]:{gen.name}",
         fn=transformed_fn,
         lipschitz_z=gen.lipschitz_z,
         monotone_y=gen.monotone_y - a,
+        dy=transformed_dy,
     )
     driver_t = _scale_driver(driver, a)
     barrier_t = _scale_process_by_time(barrier, a) if barrier is not None else None

@@ -142,13 +142,13 @@ def random_generator(
 
 
 def shifted_generator(gen: GeneratorSpec, shift: float) -> GeneratorSpec:
-    """The same driver raised by a constant; regularity constants unchanged."""
+    """The same driver raised by a constant; regularity constants and y-slope unchanged."""
     s = float(shift)
 
     def fn(t, y, z):
         return gen(t, y, z) + s
 
-    return GeneratorSpec(f"{gen.name}+{s!r}", fn, gen.lipschitz_z, gen.monotone_y)
+    return GeneratorSpec(f"{gen.name}+{s!r}", fn, gen.lipschitz_z, gen.monotone_y, gen.dy)
 
 
 def level_shifted_generator(
@@ -166,7 +166,7 @@ def level_shifted_generator(
             raise ValueError(f"offset table evaluated off-grid at t={t}")
         return gen(t, y, z) + offs[level]
 
-    return GeneratorSpec(f"{gen.name}+table", fn, gen.lipschitz_z, gen.monotone_y)
+    return GeneratorSpec(f"{gen.name}+table", fn, gen.lipschitz_z, gen.monotone_y, gen.dy)
 
 
 def random_scenario(

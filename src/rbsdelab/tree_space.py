@@ -338,13 +338,18 @@ def conditional_expectation(tree: TreeSpace, child_values: np.ndarray) -> np.nda
     ``child_values`` is a level array for some level 1..N; the result is the
     parent-level array.
     """
+    values = _child_level(tree, child_values)
+    # equal to reshape(-1, 2).mean(axis=1) bit for bit, at a tenth of its cost
+    return (values[0::2] + values[1::2]) / 2.0
+
+
+def _child_level(tree: TreeSpace, child_values: np.ndarray) -> np.ndarray:
     values = np.asarray(child_values, dtype=float)
     n = values.shape[0]
     level = n.bit_length() - 1
     if values.ndim != 1 or n != 1 << level or not 1 <= level <= tree.depth:
         raise ValueError(f"array of size {n} does not match a child level of depth {tree.depth}")
-    # equal to reshape(-1, 2).mean(axis=1) bit for bit, at a tenth of its cost
-    return (values[0::2] + values[1::2]) / 2.0
+    return values
 
 
 def martingale_representation(
@@ -361,9 +366,9 @@ def martingale_representation(
     against the sibling mean; a residual above ``tol`` (scaled) means the
     input was not a martingale increment and is rejected.
     """
-    values = np.asarray(child_values, dtype=float)
-    mean = conditional_expectation(tree, values)
+    values = _child_level(tree, child_values)
     if parent_values is not None:
+        mean = conditional_expectation(tree, values)
         parent = np.asarray(parent_values, dtype=float)
         if parent.shape != mean.shape:
             raise ValueError("parent level does not match the child level")

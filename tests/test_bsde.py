@@ -68,6 +68,16 @@ class TestGeneratorRegistry:
         with pytest.raises(ValueError, match="monotonicity"):
             validate_generator(lying_y, rng)
 
+    def test_validation_checks_a_declared_slope(self, rng):
+        honest = GeneratorSpec(
+            "user-linear", lambda t, y, z: -2.0 * y, 0.0, -2.0, lambda t, y, z: -2.0
+        )
+        validate_generator(honest, rng)
+        cubic = make_generator("monotone_cubic:0.5")
+        lying = GeneratorSpec("bad-dy", cubic.fn, 0.0, 0.5, lambda t, y, z: 0.5 - 2.0 * y * y)
+        with pytest.raises(ValueError, match="y-slope"):
+            validate_generator(lying, rng)
+
 
 class TestTableGenerator:
     def test_rows_are_looked_up_by_level(self):
@@ -251,6 +261,65 @@ class TestImplicitStep:
         # running all 130 halvings costs 137 evaluations on this input
         assert evaluations < 100
 
+    def test_newton_solves_a_steep_cubic_in_few_evaluations(self):
+        cubic = make_generator("monotone_cubic:0.0")
+        evaluations = 0
+
+        def counted(t, y, z):
+            nonlocal evaluations
+            evaluations += 1
+            return cubic.fn(t, y, z)
+
+        gen = GeneratorSpec("counted-cubic", counted, 0.0, 0.0, cubic.dy)
+        cond = np.array([40.0])
+        out = implicit_interval_step(gen, 0.0, cond, np.zeros(1), 0.5)
+        assert abs(float((out - (cond - out**3 * 0.5))[0])) <= 1e-12
+        assert evaluations <= 15
+
+    @pytest.mark.parametrize("a,b", [(-0.75, 0.5), (0.75, -0.5), (-3.0, 0.25), (0.5, 0.0)])
+    def test_linear_step_matches_its_closed_form(self, rng, a, b):
+        cond = rng.uniform(1.0, 3.0, 256) * rng.choice([-1.0, 1.0], 256)
+        z = rng.uniform(-1.0, 1.0, 256)
+        dt = 0.25
+        out = implicit_interval_step(make_generator(f"linear:{a!r},{b!r}"), 0.0, cond, z, dt)
+        np.testing.assert_array_max_ulp(out, (cond + b * z * dt) / (1.0 - a * dt), maxulp=2)
+
+    @pytest.mark.parametrize("spec", ["zero", "constant:-0.7", "table"])
+    @pytest.mark.parametrize("form", ["plain", "floor", 1.0, 64.0, 4096.0])
+    def test_flat_generators_land_on_the_update_bit_for_bit(self, rng, spec, form):
+        tree = small_tree(7)
+        t = tree.time(6)
+        cond = rng.standard_normal(64)
+        cond[::3] = -0.0
+        if spec == "table":
+            gen = table_generator(tree, [rng.standard_normal(tree.n_nodes(i)) for i in range(7)])
+        else:
+            gen = make_generator(spec)
+        kwargs = {} if form == "plain" else {"floor": rng.standard_normal(64)}
+        if form not in ("plain", "floor"):
+            kwargs["penalty"] = form
+        out = implicit_interval_step(gen, t, cond, np.zeros(64), tree.dt, **kwargs)
+        expected = steep_update(gen, cond, tree.dt, t=t, **kwargs)(cond)
+        assert out.tobytes() == expected.tobytes()
+
+    def test_a_wrong_slope_still_reaches_the_root_through_bisection(self, monkeypatch):
+        cubic = make_generator("monotone_cubic:0.0")
+        # a slope this steep stalls every Newton step at its start
+        gen = GeneratorSpec("wrong-slope", cubic.fn, 0.0, 0.0, lambda t, y, z: -1e300)
+        calls = []
+        bisect = bsde._bisect_step
+
+        def spy(*args):
+            calls.append(args)
+            return bisect(*args)
+
+        monkeypatch.setattr(bsde, "_bisect_step", spy)
+        cond = np.array([40.0, -3.0, 0.5])
+        out = implicit_interval_step(gen, 0.0, cond, np.zeros(3), 0.5)
+        assert len(calls) == 1
+        residual = out - (cond - out * out * out * 0.5)
+        assert float(np.max(np.abs(residual))) <= bsde.FIXED_POINT_TOL * 40.0
+
 
 def full_bisection(update, gen, start, dt):
     """Reference: the bisection with all 130 halvings and no early exit."""
@@ -266,24 +335,35 @@ def full_bisection(update, gen, start, dt):
     return 0.5 * (lo + hi)
 
 
-def step_with_reference(monkeypatch, gen, cond, dt, **kwargs):
-    """An implicit step that must fall back to bisection, and its reference."""
-    captured = []
-    bisect = bsde._bisect_step
+def steep_update(gen, cond, dt, floor=None, penalty=0.0, t=0.0):
+    """The full update y -> cond + f dt (clipped or penalized) that the step bisects."""
 
-    def spy(update, gen_, start, dt_, t, scale):
-        captured.append((update, start))
-        return bisect(update, gen_, start, dt_, t, scale)
+    def update(values):
+        drift = cond + gen(t, values, np.zeros_like(cond)) * dt
+        if penalty > 0.0:
+            relaxed = (drift + penalty * dt * floor) / (1.0 + penalty * dt)
+            return np.where(drift >= floor, drift, relaxed)
+        if floor is not None:
+            return np.maximum(drift, floor)
+        return drift
 
-    monkeypatch.setattr(bsde, "_bisect_step", spy)
-    y = implicit_interval_step(gen, 0.0, cond, np.zeros_like(cond), dt, **kwargs)
-    assert len(captured) == 1, "the step did not fall back to bisection"
-    update, start = captured[0]
-    return y, full_bisection(update, gen, start, dt)
+    return update
+
+
+def bisect_with_reference(gen, cond, dt, **kwargs):
+    """The bisection fallback on a steep update, and its reference."""
+    update = steep_update(gen, cond, dt, **kwargs)
+    floor = kwargs.get("floor")
+    bound = [1.0, float(np.max(np.abs(cond)))]
+    if floor is not None:
+        bound.append(float(np.max(np.abs(floor))))
+    scale = max(bound)
+    y = bsde._bisect_step(update, gen, cond, dt, 0.0, scale)
+    return y, full_bisection(update, gen, cond, dt)
 
 
 def steep_data(rng, scale, size, form):
-    # node 0 is steep and above its floor, so the fixed point diverges
+    # node 0 is steep and above its floor
     cond = scale * rng.standard_normal(size)
     cond[0] = scale
     kwargs = {}
@@ -298,10 +378,10 @@ def steep_data(rng, scale, size, form):
 class TestBisectionEarlyExit:
     @pytest.mark.parametrize("size", [1, 4096])
     @pytest.mark.parametrize("form", ["plain", "floor", "penalty"])
-    def test_matches_all_130_halvings_bit_for_bit(self, monkeypatch, form, size):
+    def test_matches_all_130_halvings_bit_for_bit(self, form, size):
         cond, kwargs = steep_data(np.random.default_rng(size), 30.0, size, form)
         gen = make_generator("monotone_cubic:0.5")
-        y, reference = step_with_reference(monkeypatch, gen, cond, 0.5, **kwargs)
+        y, reference = bisect_with_reference(gen, cond, 0.5, **kwargs)
         assert y.tobytes() == reference.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -314,8 +394,7 @@ class TestBisectionEarlyExit:
     def test_matches_all_130_halvings_over_scale_and_mu(self, scale, mu, form, seed):
         cond, kwargs = steep_data(np.random.default_rng(seed), scale, 64, form)
         gen = make_generator(f"monotone_cubic:{mu!r}")
-        with pytest.MonkeyPatch.context() as monkeypatch:
-            y, reference = step_with_reference(monkeypatch, gen, cond, 0.5, **kwargs)
+        y, reference = bisect_with_reference(gen, cond, 0.5, **kwargs)
         assert y.tobytes() == reference.tobytes()
 
 
@@ -370,6 +449,19 @@ class TestExponentialTransform:
             np.testing.assert_allclose(
                 result.candidate_integrand[i], factor * pair.integrand[i], atol=1e-13
             )
+
+    @pytest.mark.parametrize("spec", ["zero", "linear:0.4,0.3", "monotone_cubic:0.25"])
+    def test_slope_is_a_central_difference_of_the_transformed_driver(self, rng, spec):
+        tree = small_tree(2, horizon=2.0)
+        driver = AdaptedRegulatedProcess.zeros(tree)
+        gen = exponential_transform(0.7, np.zeros(4), make_generator(spec), driver).gen
+        y = rng.uniform(-2.0, 2.0, 8)
+        z = rng.uniform(-1.0, 1.0, 8)
+        h = 1e-6
+        for t in (0.0, 1.0, 2.0):
+            difference = (gen(t, y + h, z) - gen(t, y - h, z)) / (2.0 * h)
+            slope = np.broadcast_to(gen.dy(t, y, z), y.shape)
+            np.testing.assert_allclose(slope, difference, rtol=1e-6, atol=1e-6)
 
     def test_driver_jumps_scale_at_their_own_instants(self, rng):
         tree = small_tree(3)

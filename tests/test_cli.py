@@ -178,6 +178,22 @@ class TestSolveVerb:
         assert not (out / "results.csv").exists()
         assert not (out / "results.csv.tmp").exists()
 
+    def test_solver_error_names_its_scenario(self, tmp_path, monkeypatch, capsys):
+        config = write_config(tmp_path, RANDOM_BATCH)
+        out = tmp_path / "out"
+        calls = []
+
+        def failing_direct(*data):
+            calls.append(None)
+            if len(calls) == 3:
+                raise SolverError("planted failure")
+            return solve_reflected_direct(*data)
+
+        monkeypatch.setattr(cli, "solve_reflected_direct", failing_direct)
+        assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
+        assert "scenario random-002: planted failure" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_ordered_map_starts_at_most_jobs_items_ahead(self, jobs):
         started = []
@@ -248,6 +264,16 @@ class TestPenalizeVerb:
         summary = read_rows(out / "summary.csv")
         assert summary[0]["status"] == "pass"
         assert summary[0]["rate"] != ""
+
+    def test_configured_scenario_gives_one_study(self, tmp_path):
+        text = CONFIGURED_SINGLE_STEP.replace("kind = solve", "kind = penalize")
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_experiment(config, str(out)) == 0
+        summary = read_rows(out / "summary.csv")
+        assert [row["scenario"] for row in summary] == ["configured-000"]
+        assert summary[0]["status"] == "pass"
+        assert sorted(p.name for p in out.glob("study_*.csv")) == ["study_000.csv"]
 
     def test_repeat_runs_are_byte_identical(self, tmp_path):
         config = write_config(

@@ -141,6 +141,12 @@ class TestMartingaleRepresentation:
         with pytest.raises(ValueError, match="not a martingale increment"):
             martingale_representation(tree, np.array([2.0, 0.0]), np.array([0.0]))
 
+    def test_rejects_a_child_level_of_the_wrong_size(self):
+        tree = small_tree(2)
+        for size in (1, 3, 8):
+            with pytest.raises(ValueError, match="child level"):
+                martingale_representation(tree, np.zeros(size))
+
     def test_parent_check_optional(self):
         tree = small_tree(1)
         z = martingale_representation(tree, np.array([2.0, 0.0]))
