@@ -528,10 +528,10 @@ def exponential_transform(
     which keeps the z-Lipschitz constant and shifts the y-monotonicity
     constant and the y-slope down by ``rate``.  Driver jumps scale by the
     factor at their own instant; barrier interval values scale by the factor
-    at the interval's left end.  The components of ``solution`` are scaled the same way
-    (increments of the reflecting process by the factor at the instant they
-    charge).  The scaled candidate solves
-    the transformed problem up to a first-order defect in the step size.
+    at the interval's left end.  The components of ``solution`` are scaled
+    the same way (increments of the reflecting process by the factor at the
+    instant they charge).  The scaled candidate solves the transformed
+    problem up to a first-order defect in the step size.
     """
     tree = driver.tree
     a = float(rate)
