@@ -189,7 +189,7 @@ def check_contraction(gen: GeneratorSpec, tree: TreeSpace) -> None:
 
 
 def implicit_interval_step(
-    gen: GeneratorSpec,
+    gen: GeneratorSpec | None,
     t: float,
     cond: np.ndarray,
     z: np.ndarray,
@@ -211,7 +211,8 @@ def implicit_interval_step(
     It stops at the first round that leaves the bracket unchanged at every
     node: a round is a pure function of the bracket, so every later round
     would repeat it and the result is bit-identical to running all 130
-    halvings.
+    halvings.  With ``gen=None``, meaning f = 0, the update of ``cond`` is the
+    root, bit for bit the zero generator's (cond + 0.0 turns -0.0 into +0.0).
 
     Raises
     ------
@@ -223,7 +224,7 @@ def implicit_interval_step(
     n_dt = penalty * dt
 
     def drift(values: np.ndarray) -> np.ndarray:
-        return cond + gen(t, values, z) * dt
+        return cond + (0.0 if gen is None else gen(t, values, z) * dt)
 
     def drift_slope(values: np.ndarray):
         return 0.0 if gen.dy is None else gen.dy(t, values, z) * dt
@@ -238,6 +239,8 @@ def implicit_interval_step(
             return np.where(d >= floor, d, relax(d))
         return d if floor is None else np.maximum(d, floor)
 
+    if gen is None:
+        return update(cond)
     slope = 1.0 - max(0.0, gen.monotone_y) * dt
     if slope <= 0.0:
         raise SolverError(f"implicit step not solvable at t={t:.6g}: monotone_y*dt >= 1")
@@ -317,9 +320,10 @@ def _bisect_step(update, gen: GeneratorSpec, start: np.ndarray, dt: float, t: fl
 
 
 def backward_sweep(
+    tree: TreeSpace,
     terminal: np.ndarray,
-    gen: GeneratorSpec,
-    driver: AdaptedRegulatedProcess,
+    gen: GeneratorSpec | None,
+    driver: AdaptedRegulatedProcess | None,
     floor: Sequence[np.ndarray] | None = None,
     point_floor: Sequence[np.ndarray] | None = None,
     penalty: float = 0.0,
@@ -340,21 +344,27 @@ def backward_sweep(
     equation and every charge is zero.  Each level is written into the
     arrays of the returned triple; a charge component that no floor can
     produce stays the read-only zero view of :meth:`KIncrements.zeros`.
+    ``gen=None`` is the zero generator and ``driver=None`` the zero driver:
+    their terms are the scalar 0.0, which adds as an array of zeros does,
+    so the result is bit for bit the one that ``make_generator("zero")``
+    and ``AdaptedRegulatedProcess.zeros(tree)`` give.
 
     Raises
     ------
     ValueError
-        If the payoff has the wrong number of leaves, fails to dominate the
-        terminal point floor, or the generator breaks the contraction
-        precondition.
+        If the payoff has the wrong number of leaves or a non-finite entry,
+        fails to dominate the terminal point floor, or the generator breaks
+        the contraction precondition.
     """
-    tree = driver.tree
-    check_contraction(gen, tree)
+    if gen is not None:
+        check_contraction(gen, tree)
     n = tree.depth
     dt = tree.dt
     xi = np.asarray(terminal, dtype=float)
     if xi.shape[0] != tree.n_nodes(n):
         raise ValueError("terminal payoff has the wrong number of leaves")
+    if not np.all(np.isfinite(xi)):
+        raise ValueError("terminal payoff contains a non-finite entry")
     if point_floor is not None:
         gap = float(np.min(xi - point_floor[n]))
         if gap < 0.0:
@@ -371,7 +381,7 @@ def backward_sweep(
     )
     value.point[n][:] = xi
     for i in range(n - 1, -1, -1):
-        w = value.point[i + 1] + driver.delta_minus(i + 1)
+        w = value.point[i + 1] + (0.0 if driver is None else driver.delta_minus(i + 1))
         cond = conditional_expectation(tree, w)
         z = integrand[i]
         z[:] = martingale_representation(tree, w)
@@ -379,7 +389,7 @@ def backward_sweep(
         level_floor = None if floor is None else floor[i]
         y = implicit_interval_step(gen, t, cond, z, dt, floor=level_floor, penalty=penalty)
         if level_floor is not None:
-            total = np.maximum(y - cond - gen(t, y, z) * dt, 0.0)
+            total = np.maximum(y - cond - (0.0 if gen is None else gen(t, y, z) * dt), 0.0)
             if penalty > 0.0:
                 k.interval[i][:] = total
             else:
@@ -387,7 +397,7 @@ def backward_sweep(
                 k.left[i + 1][:] = np.repeat(left, 2)
                 np.subtract(total, left, out=k.interval[i])
         value.right[i][:] = y
-        up = y + driver.delta_plus(i)
+        up = y + (0.0 if driver is None else driver.delta_plus(i))
         if point_floor is None:
             value.point[i][:] = up
         else:
@@ -416,7 +426,7 @@ def solve_bsde(
     SolutionTriple
         The solution pair with identically zero charges.
     """
-    return backward_sweep(terminal, gen, driver)
+    return backward_sweep(driver.tree, terminal, gen, driver)
 
 
 def dynamics_residual(

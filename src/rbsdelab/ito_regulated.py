@@ -68,13 +68,8 @@ class DiscreteSemimartingalePath:
         self.cont = np.asarray(self.cont, dtype=float).reshape(n, d)
         self.left_jumps = np.asarray(self.left_jumps, dtype=float).reshape(n + 1, d)
         self.right_jumps = np.asarray(self.right_jumps, dtype=float).reshape(n + 1, d)
-        for name, arr in (
-            ("x0", self.x0),
-            ("cont", self.cont),
-            ("left_jumps", self.left_jumps),
-            ("right_jumps", self.right_jumps),
-        ):
-            if not np.all(np.isfinite(arr)):
+        for name in ("x0", "cont", "left_jumps", "right_jumps"):
+            if not np.all(np.isfinite(getattr(self, name))):
                 raise ValueError(f"{name} contains non-finite entries")
         if np.any(self.left_jumps[0] != 0.0):
             raise ValueError("no left jump can occur at time zero")
@@ -85,59 +80,76 @@ class DiscreteSemimartingalePath:
     def dimension(self) -> int:
         return self.x0.shape[0]
 
+    def _samples(self) -> np.ndarray:
+        """Left-limit, point and right values per instant, shape (steps+1, 3, d).
+
+        One running sum over the interleaved increments x0, dminus_0,
+        dplus_0, c_0, dminus_1, dplus_1, c_1, ...: the additions of a
+        step-by-step walk, in its order.  The two jumps that must be zero,
+        dminus_0 and dplus_N, enter as -0.0, which leaves any value bit for
+        bit as it is; so the point at 0 is x0 and the right value at the
+        horizon is the terminal point.
+        """
+        n = self.grid.steps
+        steps = np.empty((n + 1, 3, self.dimension))
+        steps[0, 0] = self.x0
+        steps[1:, 0] = self.cont
+        steps[:, 1] = self.left_jumps
+        steps[:, 2] = self.right_jumps
+        steps[0, 1] = steps[n, 2] = -0.0
+        return np.cumsum(steps.reshape(-1, self.dimension), axis=0).reshape(steps.shape)
+
     def sample_values(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Point, right, and left-limit values, each of shape (steps+1, d).
 
         The left-limit row 0 repeats the initial value; the right row at the
         horizon repeats the terminal point.
         """
-        n = self.grid.steps
-        d = self.dimension
-        point = np.empty((n + 1, d))
-        right = np.empty((n + 1, d))
-        left = np.empty((n + 1, d))
-        point[0] = self.x0
-        left[0] = self.x0
-        for i in range(n):
-            right[i] = point[i] + self.right_jumps[i]
-            left[i + 1] = right[i] + self.cont[i]
-            point[i + 1] = left[i + 1] + self.left_jumps[i + 1]
-        right[n] = point[n]
-        return point, right, left
+        samples = self._samples()
+        return samples[:, 1], samples[:, 2], samples[:, 0]
 
     def min_abs(self) -> float:
-        point, right, left = self.sample_values()
-        values = np.concatenate([point, right, left])
-        return float(np.min(np.linalg.norm(values, axis=1)))
+        return float(np.min(np.linalg.norm(self._samples(), axis=2)))
 
     def max_abs(self) -> float:
-        point, right, left = self.sample_values()
-        values = np.concatenate([point, right, left])
-        return float(np.max(np.linalg.norm(values, axis=1)))
+        return float(np.max(np.linalg.norm(self._samples(), axis=2)))
 
 
 @dataclass
 class SmoothFunctionSpec:
-    """Twice differentiable test function with explicit derivatives."""
+    """Twice differentiable test function with explicit derivatives.
+
+    The callbacks are batched: for an (n, d) array of points, ``fn`` returns
+    the n values, ``grad`` the (n, d) gradients and ``hess`` the (n, d, d)
+    Hessians.  The methods take any array of d-vectors, a single one
+    included, and return those shapes.
+    """
 
     name: str
     dimension: int
-    fn: Callable[[np.ndarray], float]
+    fn: Callable[[np.ndarray], np.ndarray]
     grad: Callable[[np.ndarray], np.ndarray]
     hess: Callable[[np.ndarray], np.ndarray]
 
-    def value(self, x: np.ndarray) -> float:
-        return float(self.fn(np.asarray(x, dtype=float)))
+    def _points(self, x: np.ndarray) -> np.ndarray:
+        return np.asarray(x, dtype=float).reshape(-1, self.dimension)
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        pts = self._points(x)
+        return np.asarray(self.fn(pts), dtype=float).reshape(pts.shape[0])
 
     def gradient(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.grad(np.asarray(x, dtype=float)), dtype=float).reshape(
-            self.dimension
-        )
+        pts = self._points(x)
+        return np.asarray(self.grad(pts), dtype=float).reshape(pts.shape)
 
     def hessian(self, x: np.ndarray) -> np.ndarray:
-        return np.asarray(self.hess(np.asarray(x, dtype=float)), dtype=float).reshape(
-            self.dimension, self.dimension
-        )
+        pts = self._points(x)
+        return np.asarray(self.hess(pts), dtype=float).reshape(pts.shape + (self.dimension,))
+
+
+def _diagonal(rows: np.ndarray) -> np.ndarray:
+    # (n, d) -> (n, d, d), one diagonal matrix per row
+    return rows[:, :, None] * np.eye(rows.shape[1])
 
 
 def make_function(spec: str, dimension: int) -> SmoothFunctionSpec:
@@ -151,46 +163,48 @@ def make_function(spec: str, dimension: int) -> SmoothFunctionSpec:
     if not 1 <= d <= DIMENSION_CAP:
         raise ValueError(f"dimension must be between 1 and {DIMENSION_CAP}, got {d}")
     if name == "quadratic":
+        # symmetric, so x @ a is a @ x row by row
         a = np.eye(d) + 0.3 ** np.abs(np.subtract.outer(np.arange(d), np.arange(d)))
         b = 0.5 * (1.0 + np.arange(d))
         return SmoothFunctionSpec(
             name,
             d,
-            lambda x: 0.5 * float(x @ a @ x) + float(b @ x),
-            lambda x: a @ x + b,
-            lambda x: a.copy(),
+            lambda x: 0.5 * np.sum((x @ a) * x, axis=1) + x @ b,
+            lambda x: x @ a + b,
+            lambda x: np.broadcast_to(a, (x.shape[0], d, d)),
         )
     if name == "cubic":
         w = 1.0 + 0.5 * np.arange(d)
         return SmoothFunctionSpec(
             name,
             d,
-            lambda x: float(np.sum(w * x ** 3) / 6.0 + 0.5 * np.sum(x ** 2)),
+            lambda x: np.sum(w * x ** 3, axis=1) / 6.0 + 0.5 * np.sum(x ** 2, axis=1),
             lambda x: w * x ** 2 / 2.0 + x,
-            lambda x: np.diag(w * x + 1.0),
+            lambda x: _diagonal(w * x + 1.0),
         )
     if name == "sin_sum":
         k = 1.0 + np.arange(d)
         return SmoothFunctionSpec(
             name,
             d,
-            lambda x: float(np.sum(np.sin(k * x))),
+            lambda x: np.sum(np.sin(k * x), axis=1),
             lambda x: k * np.cos(k * x),
-            lambda x: np.diag(-(k ** 2) * np.sin(k * x)),
+            lambda x: _diagonal(-(k ** 2) * np.sin(k * x)),
         )
     if name.startswith("power:"):
         p = float(name.split(":", 1)[1])
 
-        def fn(x: np.ndarray) -> float:
-            return float(np.linalg.norm(x) ** p)
+        def fn(x: np.ndarray) -> np.ndarray:
+            return np.linalg.norm(x, axis=1) ** p
 
         def grad(x: np.ndarray) -> np.ndarray:
-            r = float(np.linalg.norm(x))
+            r = np.linalg.norm(x, axis=1)[:, None]
             return p * r ** (p - 2.0) * x
 
         def hess(x: np.ndarray) -> np.ndarray:
-            r = float(np.linalg.norm(x))
-            return p * r ** (p - 4.0) * ((p - 2.0) * np.outer(x, x) + r * r * np.eye(d))
+            r = np.linalg.norm(x, axis=1)[:, None, None]
+            outer = x[:, :, None] * x[:, None, :]
+            return p * r ** (p - 4.0) * ((p - 2.0) * outer + r * r * np.eye(d))
 
         return SmoothFunctionSpec(name, d, fn, grad, hess)
     raise ValueError(f"unknown smooth function {spec!r}")
@@ -207,28 +221,36 @@ def check_consistency(
         If a sampled gradient or Hessian entry disagrees with the finite
         difference beyond ``tol`` times a local scale.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, spec.dimension)
+    pts = spec._points(points)
     hg = 1e-6
     hh = 1e-4
-    for x in pts:
-        g = spec.gradient(x)
-        h = spec.hessian(x)
-        scale = max(1.0, float(np.max(np.abs(g))), float(np.max(np.abs(h))))
-        for j in range(spec.dimension):
-            e = np.zeros(spec.dimension)
-            e[j] = 1.0
-            fd = (spec.value(x + hg * e) - spec.value(x - hg * e)) / (2.0 * hg)
-            if abs(fd - g[j]) > tol * scale:
+    g = spec.gradient(pts)
+    h = spec.hessian(pts)
+    scale = np.maximum(1.0, np.maximum(np.max(np.abs(g), axis=1), np.max(np.abs(h), axis=(1, 2))))
+    f0 = spec.value(pts)
+    for j, e in enumerate(np.eye(spec.dimension)):
+        fd = (spec.value(pts + hg * e) - spec.value(pts - hg * e)) / (2.0 * hg)
+        fd2 = (spec.value(pts + hh * e) - 2.0 * f0 + spec.value(pts - hh * e)) / (hh * hh)
+        for label, err in (("gradient", fd - g[:, j]), ("hessian", fd2 - h[:, j, j])):
+            bad = np.abs(err) > tol * scale
+            if np.any(bad):
                 raise ValueError(
-                    f"gradient of {spec.name} disagrees with finite differences at {x}"
+                    f"{label} of {spec.name} disagrees with finite differences at "
+                    f"{pts[np.argmax(bad)]}"
                 )
-            fd2 = (
-                spec.value(x + hh * e) - 2.0 * spec.value(x) + spec.value(x - hh * e)
-            ) / (hh * hh)
-            if abs(fd2 - h[j, j]) > tol * scale:
-                raise ValueError(
-                    f"hessian of {spec.name} disagrees with finite differences at {x}"
-                )
+
+
+def _defect(values: np.ndarray, terms: np.ndarray) -> np.ndarray:
+    """values[i] - values[0] less the running total of the per-step terms.
+
+    ``terms`` has one row per step; the total adds them one by one, row by
+    row, as a step-by-step walk would.  The defect at time 0 is zero.
+    """
+    per_step = terms.shape[1]
+    running = np.cumsum(terms.reshape(-1))[per_step - 1 :: per_step]
+    res = np.zeros(values.shape[0])
+    res[1:] = values[1:] - values[0] - running
+    return res
 
 
 def ito_residual(path: DiscreteSemimartingalePath, f: SmoothFunctionSpec) -> np.ndarray:
@@ -243,21 +265,21 @@ def ito_residual(path: DiscreteSemimartingalePath, f: SmoothFunctionSpec) -> np.
         raise ValueError("function and path dimensions differ")
     n = path.grid.steps
     point, right, left = path.sample_values()
-    res = np.zeros(n + 1)
-    running = 0.0
-    f0 = f.value(point[0])
-    for i in range(n):
-        running += f.value(right[i]) - f.value(point[i])
-        c = path.cont[i]
-        g = f.gradient(right[i])
-        h = f.hessian(right[i])
-        running += float(g @ c) + 0.5 * float(c @ h @ c)
-        dm = path.left_jumps[i + 1]
-        gm = f.gradient(left[i + 1])
-        running += float(gm @ dm)
-        running += f.value(point[i + 1]) - f.value(left[i + 1]) - float(gm @ dm)
-        res[i + 1] = f.value(point[i + 1]) - f0 - running
-    return res
+    c = path.cont
+    dm = path.left_jumps[1:]
+    f_point = f.value(point)
+    f_left = f.value(left[1:])
+    atoms = np.sum(f.gradient(left[1:]) * dm, axis=1)
+    curvature = np.einsum("ij,ijk,ik->i", c, f.hessian(right[:n]), c)
+    terms = np.column_stack(
+        [
+            f.value(right[:n]) - f_point[:n],
+            np.sum(f.gradient(right[:n]) * c, axis=1) + 0.5 * curvature,
+            atoms,
+            f_point[1:] - f_left - atoms,
+        ]
+    )
+    return _defect(f_point, terms)
 
 
 def product_residual(
@@ -276,34 +298,43 @@ def product_residual(
     n = path1.grid.steps
     p1, r1, l1 = (a[:, 0] for a in path1.sample_values())
     p2, r2, l2 = (a[:, 0] for a in path2.sample_values())
-    res = np.zeros(n + 1)
-    running = 0.0
-    start = p1[0] * p2[0]
-    for i in range(n):
-        running += r1[i] * r2[i] - p1[i] * p2[i]
-        c1 = path1.cont[i, 0]
-        c2 = path2.cont[i, 0]
-        running += r1[i] * c2 + r2[i] * c1 + c1 * c2
-        d1 = path1.left_jumps[i + 1, 0]
-        d2 = path2.left_jumps[i + 1, 0]
-        running += l1[i + 1] * d2 + l2[i + 1] * d1 + d1 * d2
-        res[i + 1] = p1[i + 1] * p2[i + 1] - start - running
-    return res
+    c1, c2 = path1.cont[:, 0], path2.cont[:, 0]
+    d1, d2 = path1.left_jumps[1:, 0], path2.left_jumps[1:, 0]
+    terms = np.column_stack(
+        [
+            r1[:n] * r2[:n] - p1[:n] * p2[:n],
+            r1[:n] * c2 + r2[:n] * c1 + c1 * c2,
+            l1[1:] * d2 + l2[1:] * d1 + d1 * d2,
+        ]
+    )
+    return _defect(p1 * p2, terms)
 
 
-def _norm_sgn(x: np.ndarray) -> tuple[float, np.ndarray]:
-    r = float(np.linalg.norm(x))
-    if r == 0.0:
-        return 0.0, np.zeros_like(x)
-    return r, x / r
+def _polar(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Where each row of x is nonzero, its norm and its direction sgn(x).
+
+    At the origin the norm reads 1.0, so that every power of it stays
+    finite, and the direction is zero: the convention sgn(0) = 0.
+    """
+    r = np.linalg.norm(x, axis=1)
+    live = r > 0.0
+    r = np.where(live, r, 1.0)
+    return live, r, x / r[:, None]
 
 
-def _power_grad_dot(x: np.ndarray, p: float, delta: np.ndarray) -> float:
-    # p |x|^{p-1} <sgn(x), delta>, with the convention sgn(0) = 0.
-    r, s = _norm_sgn(x)
-    if r == 0.0:
-        return 0.0
-    return p * r ** (p - 1.0) * float(s @ delta)
+def _power_grad_dot(x: np.ndarray, p: float, delta: np.ndarray) -> np.ndarray:
+    # p |x|^{p-1} <sgn(x), delta> row by row, with the convention sgn(0) = 0.
+    live, r, s = _polar(x)
+    return np.where(live, p * r ** (p - 1.0) * np.sum(s * delta, axis=1), 0.0)
+
+
+def _interval_curvature(
+    x: np.ndarray, c: np.ndarray, p: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """|x|^{p-2} (zero at the origin), |c|^2 and <sgn(x), c>^2 row by row."""
+    live, r, s = _polar(x)
+    along = np.sum(s * c, axis=1)
+    return np.where(live, r ** (p - 2.0), 0.0), np.sum(c * c, axis=1), along * along
 
 
 @dataclass
@@ -343,25 +374,22 @@ def power_residual(
     n = path.grid.steps
     point, right, left = path.sample_values()
     jminus, jplus = power_jump_terms(path, p)
-    res = np.zeros(n + 1)
-    running = 0.0
-    start = float(np.linalg.norm(point[0])) ** p
-    for i in range(n):
-        # right jump at t_i: explicit gradient part plus convex remainder
-        running += _power_grad_dot(point[i], p, path.right_jumps[i])
-        running += jplus[i]
-        # open interval: gradient sum and quadratic-variation surrogate
-        c = path.cont[i]
-        running += _power_grad_dot(right[i], p, c)
-        r, s = _norm_sgn(right[i])
-        if r > 0.0:
-            c2 = float(c @ c)
-            qform = float(s @ c) ** 2
-            running += 0.5 * p * r ** (p - 2.0) * ((2.0 - p) * (c2 - qform) + (p - 1.0) * c2)
-        # left jump at t_{i+1}: gradient atom plus convex remainder
-        running += _power_grad_dot(left[i + 1], p, path.left_jumps[i + 1])
-        running += jminus[i]
-        res[i + 1] = float(np.linalg.norm(point[i + 1])) ** p - start - running
+    c = path.cont
+    weight, c2, along2 = _interval_curvature(right[:n], c, p)
+    terms = np.column_stack(
+        [
+            # right jump at t_i: explicit gradient part plus convex remainder
+            _power_grad_dot(point[:n], p, path.right_jumps[:n]),
+            jplus,
+            # open interval: gradient sum and quadratic-variation surrogate
+            _power_grad_dot(right[:n], p, c),
+            0.5 * p * weight * ((2.0 - p) * (c2 - along2) + (p - 1.0) * c2),
+            # left jump at t_{i+1}: gradient atom plus convex remainder
+            _power_grad_dot(left[1:], p, path.left_jumps[1:]),
+            jminus,
+        ]
+    )
+    res = _defect(np.linalg.norm(point, axis=1) ** p, terms)
     local = res.copy() if p == 1.0 else None
     return PowerResidual(p=float(p), residual=res, local_time_estimate=local)
 
@@ -380,25 +408,24 @@ def power_jump_terms(
         raise ValueError(f"power must lie in [1, 2], got {p}")
     n = path.grid.steps
     point, right, left = path.sample_values()
-    jminus = np.zeros(n)
-    jplus = np.zeros(n)
-    for i in range(n):
-        jplus[i] = (
-            float(np.linalg.norm(right[i])) ** p
-            - float(np.linalg.norm(point[i])) ** p
-            - _power_grad_dot(point[i], p, path.right_jumps[i])
-        )
-        jminus[i] = (
-            float(np.linalg.norm(point[i + 1])) ** p
-            - float(np.linalg.norm(left[i + 1])) ** p
-            - _power_grad_dot(left[i + 1], p, path.left_jumps[i + 1])
-        )
+    powers = np.linalg.norm(point, axis=1) ** p
+    jplus = (
+        np.linalg.norm(right[:n], axis=1) ** p
+        - powers[:n]
+        - _power_grad_dot(point[:n], p, path.right_jumps[:n])
+    )
+    jminus = (
+        powers[1:]
+        - np.linalg.norm(left[1:], axis=1) ** p
+        - _power_grad_dot(left[1:], p, path.left_jumps[1:])
+    )
     return jminus, jplus
 
 
 def _segment_samples(a: np.ndarray, b: np.ndarray, count: int = 9) -> np.ndarray:
-    ts = np.linspace(0.0, 1.0, count)[:, None]
-    return a[None, :] * (1.0 - ts) + b[None, :] * ts
+    # ``count`` evenly spaced points on each segment a[i] -> b[i], stacked
+    ts = np.linspace(0.0, 1.0, count)[None, :, None]
+    return (a[:, None, :] * (1.0 - ts) + b[:, None, :] * ts).reshape(-1, a.shape[1])
 
 
 def jump_term_bounds(
@@ -413,31 +440,20 @@ def jump_term_bounds(
     """
     n = path.grid.steps
     point, right, left = path.sample_values()
-    jminus_total = 0.0
-    jplus_total = 0.0
-    sq_left = 0.0
-    abs_right = 0.0
-    hess_sup = 0.0
-    grad_sup = 0.0
-    for i in range(n):
-        dp = path.right_jumps[i]
-        jplus_total += abs(f.value(right[i]) - f.value(point[i]))
-        abs_right += float(np.linalg.norm(dp))
-        for x in _segment_samples(point[i], right[i]):
-            grad_sup = max(grad_sup, float(np.linalg.norm(f.gradient(x))))
-        dm = path.left_jumps[i + 1]
-        gm = f.gradient(left[i + 1])
-        jminus_total += abs(
-            f.value(point[i + 1]) - f.value(left[i + 1]) - float(gm @ dm)
-        )
-        sq_left += float(dm @ dm)
-        for x in _segment_samples(left[i + 1], point[i + 1]):
-            hess_sup = max(hess_sup, float(np.linalg.norm(f.hessian(x), ord=2)))
+    dp = path.right_jumps[:n]
+    dm = path.left_jumps[1:]
+    f_point = f.value(point)
+    gm = f.gradient(left[1:])
+    jminus = f_point[1:] - f.value(left[1:]) - np.sum(gm * dm, axis=1)
+    grads = f.gradient(_segment_samples(point[:n], right[:n]))
+    hessians = f.hessian(_segment_samples(left[1:], point[1:]))
+    grad_sup = float(np.max(np.linalg.norm(grads, axis=1)))
+    hess_sup = float(np.max(np.linalg.norm(hessians, ord=2, axis=(1, 2))))
     return {
-        "jminus_total": jminus_total,
-        "jminus_bound": 0.5 * hess_sup * sq_left,
-        "jplus_total": jplus_total,
-        "jplus_bound": grad_sup * abs_right,
+        "jminus_total": float(np.sum(np.abs(jminus))),
+        "jminus_bound": 0.5 * hess_sup * float(np.sum(dm * dm)),
+        "jplus_total": float(np.sum(np.abs(f.value(right[:n]) - f_point[:n]))),
+        "jplus_bound": grad_sup * float(np.sum(np.linalg.norm(dp, axis=1))),
     }
 
 
@@ -461,51 +477,30 @@ def cor4_inequality_check(
     if not 1.0 <= p <= 2.0:
         raise ValueError(f"power must lie in [1, 2], got {p}")
     n = path.grid.steps
+    if t is not None and not 0 <= int(t) <= n:
+        raise ValueError(f"time index {int(t)} outside the grid")
     point, right, left = path.sample_values()
-    powers = np.array([float(np.linalg.norm(point[i])) ** p for i in range(n + 1)])
+    powers = np.linalg.norm(point, axis=1) ** p
     jminus, jplus = power_jump_terms(path, p)
+    c = path.cont
+    lin = _power_grad_dot(right[:n], p, c)
+    # right[i] + c[i] is left[i + 1] bit for bit
+    gap = np.linalg.norm(left[1:], axis=1) ** p - np.linalg.norm(right[:n], axis=1) ** p - lin
+    weight, c2, along2 = _interval_curvature(right[:n], c, p)
+    bracket = gap - 0.5 * p * (2.0 - p) * weight * (c2 - along2)
+    gplus = _power_grad_dot(point[:n], p, path.right_jumps[:n])
+    atoms = _power_grad_dot(left[1:], p, path.left_jumps[1:])
 
-    gplus = np.zeros(n)
-    lin = np.zeros(n)
-    bracket = np.zeros(n)
-    atoms = np.zeros(n)
-    for i in range(n):
-        gplus[i] = _power_grad_dot(point[i], p, path.right_jumps[i])
-        c = path.cont[i]
-        lin[i] = _power_grad_dot(right[i], p, c)
-        gap = (
-            float(np.linalg.norm(right[i] + c)) ** p
-            - float(np.linalg.norm(right[i])) ** p
-            - lin[i]
-        )
-        r, s = _norm_sgn(right[i])
-        ortho = 0.0
-        if r > 0.0:
-            c2 = float(c @ c)
-            ortho = 0.5 * p * (2.0 - p) * r ** (p - 2.0) * (c2 - float(s @ c) ** 2)
-        bracket[i] = gap - ortho
-        atoms[i] = _power_grad_dot(left[i + 1], p, path.left_jumps[i + 1])
-
-    indices = range(n + 1) if t is None else [int(t)]
+    # tails[k, tau] sums row k of the terms over the steps from tau onward
+    tails = np.zeros((6, n + 1))
+    terms = np.stack([bracket, jminus, jplus, lin, atoms, gplus])
+    tails[:, :n] = np.cumsum(terms[:, ::-1], axis=1)[:, ::-1]
+    lhs = powers + tails[0] + tails[1] + tails[2]
+    rhs = powers[n] - tails[3] - tails[4] - tails[5]
+    slack = rhs - lhs if t is None else rhs[int(t)] - lhs[int(t)]
+    worst = float(np.min(slack))
     scale = max(1.0, float(np.max(powers)))
-    worst = np.inf
-    for tau in indices:
-        if not 0 <= tau <= n:
-            raise ValueError(f"time index {tau} outside the grid")
-        lhs = (
-            powers[tau]
-            + float(np.sum(bracket[tau:]))
-            + float(np.sum(jminus[tau:]))
-            + float(np.sum(jplus[tau:]))
-        )
-        rhs = (
-            powers[n]
-            - float(np.sum(lin[tau:]))
-            - float(np.sum(atoms[tau:]))
-            - float(np.sum(gplus[tau:]))
-        )
-        worst = min(worst, rhs - lhs)
-    return bool(worst >= -tol * scale), float(worst)
+    return bool(worst >= -tol * scale), worst
 
 
 # ----------------------------------------------------------------------
@@ -575,15 +570,12 @@ def serialize_path_csv(path: DiscreteSemimartingalePath) -> str:
     cols = ["index", "time"]
     for group in ("c", "dminus", "dplus", "x"):
         cols += [f"{group}_{k}" for k in range(d)]
-    lines = [",".join(cols)]
-    times = path.grid.times()
-    for i in range(n + 1):
-        c_row = path.cont[i] if i < n else np.zeros(d)
-        cells = [str(i), "%.17g" % times[i]]
-        for row in (c_row, path.left_jumps[i], path.right_jumps[i], point[i]):
-            cells += ["%.17g" % v for v in row]
-        lines.append(",".join(cells))
-    return "\n".join(lines) + "\n"
+    # the interval increment column reads 0 at the horizon
+    cont = np.vstack([path.cont, np.zeros((1, d))])
+    table = np.column_stack([path.grid.times(), cont, path.left_jumps, path.right_jumps, point])
+    template = "%d" + ",%.17g" * (1 + 4 * d) + "\n"
+    rows = zip(range(n + 1), *table.T.tolist())
+    return ",".join(cols) + "\n" + "".join(map(template.__mod__, rows))
 
 
 def parse_path_csv(grid: TimeGrid, text: str) -> DiscreteSemimartingalePath:
@@ -604,22 +596,13 @@ def parse_path_csv(grid: TimeGrid, text: str) -> DiscreteSemimartingalePath:
     if len(header) < 6 or (len(header) - 2) % 4 != 0:
         raise ValueError("malformed path header")
     d = (len(header) - 2) // 4
-    n = grid.steps
-    cont = np.zeros((n, d))
-    left = np.zeros((n + 1, d))
-    right = np.zeros((n + 1, d))
-    stored = np.zeros((n + 1, d))
-    for i, line in enumerate(lines[1:]):
-        cells = line.split(",")
+    rows = [line.split(",") for line in lines[1:]]
+    for i, cells in enumerate(rows):
         if len(cells) != len(header):
             raise ValueError(f"row {i} has {len(cells)} cells, expected {len(header)}")
-        values = [float(v) for v in cells[2:]]
-        if i < n:
-            cont[i] = values[0:d]
-        left[i] = values[d : 2 * d]
-        right[i] = values[2 * d : 3 * d]
-        stored[i] = values[3 * d : 4 * d]
-    path = DiscreteSemimartingalePath(grid, stored[0], cont, left, right)
+    table = np.array([[float(v) for v in cells[2:]] for cells in rows])
+    cont, left, right, stored = (table[:, k * d : (k + 1) * d] for k in range(4))
+    path = DiscreteSemimartingalePath(grid, stored[0], cont[: grid.steps], left, right)
     point, _, _ = path.sample_values()
     if float(np.max(np.abs(point - stored))) > 1e-12 * max(1.0, path.max_abs()):
         raise ValueError("stored point values disagree with the reconstructed path")

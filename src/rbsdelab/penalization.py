@@ -154,7 +154,7 @@ def solve_penalized(
         floors = np.where(sigma_array(barrier, driver, n).mask, barrier.points, -np.inf)
         point_floor = _level_views(floors, barrier.tree.depth + 1)
     trip = backward_sweep(
-        terminal, gen, driver, floor=barrier.right, point_floor=point_floor, penalty=float(n)
+        driver.tree, terminal, gen, driver, barrier.right, point_floor, penalty=float(n)
     )
     return PenalizedSolution(
         n=int(n),

@@ -107,7 +107,9 @@ def solve_reflected_direct(
     """
     if barrier.tree is not driver.tree:
         raise ValueError("driver and barrier live on different trees")
-    return backward_sweep(terminal, gen, driver, floor=barrier.right, point_floor=barrier.point)
+    return backward_sweep(
+        driver.tree, terminal, gen, driver, floor=barrier.right, point_floor=barrier.point
+    )
 
 
 def verify_solution(
@@ -252,13 +254,12 @@ def barrier_transform(
     Raises
     ------
     ValueError
-        If sampled generator values fall below the floor.
+        If the floor has the wrong length or a non-finite entry, or sampled
+        generator values fall below it.
     """
     tree = barrier.tree
     n = tree.depth
-    rows = np.asarray(bound, dtype=float).reshape(-1)
-    if rows.shape[0] != n:
-        raise ValueError(f"lower bound needs one value per interval ({n}), got {rows.shape[0]}")
+    rows = _bound_values(bound, n)
     xi = np.asarray(terminal, dtype=float)
 
     if gen is not None:
@@ -288,6 +289,15 @@ def barrier_transform(
         domination_margin=float(dom),
         left_limit_margin=float(margin),
     )
+
+
+def _bound_values(bound: np.ndarray, n: int) -> np.ndarray:
+    rows = np.asarray(bound, dtype=float).reshape(-1)
+    if rows.shape[0] != n:
+        raise ValueError(f"lower bound needs one value per interval ({n}), got {rows.shape[0]}")
+    if not np.all(np.isfinite(rows)):
+        raise ValueError(f"lower bound must be finite, got {rows.tolist()}")
+    return rows
 
 
 def _check_bound_on_samples(
@@ -328,8 +338,8 @@ def solve_via_reduction(
     Raises
     ------
     ValueError
-        If a supplied floor fails at the realized arguments, or no valid
-        floor could be established.
+        If a supplied floor is not finite or fails at the realized
+        arguments, or no valid floor could be established.
     """
     tree = driver.tree
     if barrier.tree is not tree:
@@ -337,7 +347,7 @@ def solve_via_reduction(
 
     user_bound = bound is not None
     rows = (
-        np.asarray(bound, dtype=float).reshape(-1)
+        _bound_values(bound, tree.depth)
         if user_bound
         else default_lower_bound(terminal, gen, driver, barrier)
     )
@@ -348,7 +358,7 @@ def solve_via_reduction(
         # lhat's right-limit field is a right-continuous barrier, so it is
         # both the interval and the left-limit floor
         lhat = result.lhat
-        trip = backward_sweep(terminal, gen, driver, floor=lhat.right, point_floor=lhat.point)
+        trip = backward_sweep(tree, terminal, gen, driver, floor=lhat.right, point_floor=lhat.point)
         worst = 0.0
         for i in range(tree.depth):
             f_val = np.asarray(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bsde import SolutionTriple, backward_sweep, make_generator
+from .bsde import SolutionTriple, backward_sweep
 from .tree_space import AdaptedRegulatedProcess, KIncrements, rule_value_fields
 
 __all__ = [
@@ -64,13 +64,7 @@ def snell_envelope(barrier: AdaptedRegulatedProcess, terminal: np.ndarray) -> Me
         charges.
     """
     tree = barrier.tree
-    trip = backward_sweep(
-        terminal,
-        make_generator("zero"),
-        AdaptedRegulatedProcess.zeros(tree),
-        floor=barrier.right,
-        point_floor=barrier.point,
-    )
+    trip = backward_sweep(tree, terminal, None, None, floor=barrier.right, point_floor=barrier.point)
     martingale = [np.zeros(1)]
     for i in range(tree.depth):
         step = np.repeat(trip.integrand[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import textwrap
 import time
@@ -11,7 +12,7 @@ from rbsdelab.bsde import SolverError
 from rbsdelab.cli import emit_convergence_table, fit_rate, main, run_experiment
 from rbsdelab.penalization import ConvergenceStudy, convergence_study
 from rbsdelab.rbsde import solve_reflected_direct
-from rbsdelab.scenarios import load_config, random_scenario
+from rbsdelab.scenarios import load_config, make_tree, random_scenario, scenario_from_config
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -387,6 +388,125 @@ class TestCompareVerb:
         assert kinds == {"ordered", "equal-barrier"}
         assert all(row["status"] == "pass" for row in summary)
         assert all(float(row["y_violation"]) == 0.0 for row in summary)
+
+    def test_an_unordered_pair_gives_an_invalid_row_and_exit_one(self, tmp_path, monkeypatch):
+        ordered_pair = cli.ordered_pair
+
+        def unordered_pair(rng, depth, name):
+            low, _ = ordered_pair(rng, depth, name=name)
+            return low, dataclasses.replace(low, terminal=low.terminal - 1.0)
+
+        monkeypatch.setattr(cli, "ordered_pair", unordered_pair)
+        config = write_config(
+            tmp_path,
+            """\
+            [experiment]
+            kind = compare
+            depth = 3
+            count = 2
+            seed = 22
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", config, "--out-dir", str(out)]) == 1
+        invalid, equal = read_rows(out / "summary.csv")
+        assert invalid == {
+            "pair": "pair-000",
+            "kind": "invalid",
+            "reason": "terminal values are not ordered",
+            "y_violation": "",
+            "dk_interval": "",
+            "dk_left": "",
+            "dk_right": "",
+            "status": "fail",
+        }
+        assert equal["kind"] == "equal-barrier"
+        assert equal["status"] == "pass"
+
+
+# extra scenario rows are appended to this text as unindented lines
+CONFIGURED_WITH_DRIVER = textwrap.dedent(
+    """\
+    [experiment]
+    kind = solve
+    depth = 2
+    method = both
+
+    [scenario]
+    generator = linear:-0.5,0.2
+    barrier_point = 0 ; 0.1, -0.2 ; 0
+    driver_point = 0 ; 0.3, -0.1 ; 0.2
+    terminal = 0.5, 1.0, 0.0, 0.25
+    """
+)
+
+
+class TestConfiguredScenarios:
+    def section(self, tmp_path, text):
+        return load_config(write_config(tmp_path, text))["scenario"]
+
+    def test_driver_right_rows_default_to_the_point_rows(self, tmp_path):
+        tree = make_tree(2, 1.0)
+        sc = scenario_from_config(self.section(tmp_path, CONFIGURED_WITH_DRIVER), tree)
+        np.testing.assert_array_equal(sc.driver.points, [0.0, 0.3, -0.1, 0.2, 0.2, 0.2, 0.2])
+        np.testing.assert_array_equal(sc.driver.rights, [0.0, 0.3, -0.1])
+        config = write_config(tmp_path, CONFIGURED_WITH_DRIVER)
+        out = tmp_path / "out"
+        assert run_experiment(config, str(out)) == 0
+        assert read_rows(out / "summary.csv")[0]["status"] == "pass"
+
+    def test_driver_right_rows_are_read(self, tmp_path):
+        text = CONFIGURED_WITH_DRIVER + "driver_right = 0.1 ; -0.2, 0.4\n"
+        tree = make_tree(2, 1.0)
+        sc = scenario_from_config(self.section(tmp_path, text), tree)
+        np.testing.assert_array_equal(sc.driver.points, [0.0, 0.3, -0.1, 0.2, 0.2, 0.2, 0.2])
+        np.testing.assert_array_equal(sc.driver.rights, [0.1, -0.2, 0.4])
+        out = tmp_path / "out"
+        assert run_experiment(write_config(tmp_path, text), str(out)) == 0
+        assert read_rows(out / "summary.csv")[0]["status"] == "pass"
+
+    def test_a_bound_row_reaches_the_reduction(self, tmp_path, monkeypatch):
+        bounds = []
+        solve_via_reduction = cli.solve_via_reduction
+
+        def recording_reduction(*data, bound):
+            bounds.append(bound)
+            return solve_via_reduction(*data, bound=bound)
+
+        monkeypatch.setattr(cli, "solve_via_reduction", recording_reduction)
+        text = CONFIGURED_WITH_DRIVER + "bound = -5, -4\n"
+        out = tmp_path / "out"
+        assert run_experiment(write_config(tmp_path, text), str(out)) == 0
+        np.testing.assert_array_equal(bounds, [[-5.0, -4.0]])
+        summary = read_rows(out / "summary.csv")[0]
+        assert summary["status"] == "pass"
+        assert summary["route_gap"] != ""
+
+    def test_a_bound_above_the_generator_is_a_usage_error(self, tmp_path, capsys):
+        text = CONFIGURED_WITH_DRIVER + "bound = 5, 5\n"
+        config = write_config(tmp_path, text)
+        assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "lower-bound violation detected on samples" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("row", ["nan,nan", "-inf,-inf", "0,inf"])
+    def test_a_non_finite_bound_is_rejected_by_name(self, tmp_path, capsys, row):
+        text = CONFIGURED_WITH_DRIVER + f"bound = {row}\n"
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert "scenario configured-000: lower bound must be finite" in err
+        assert "implicit step" not in err
+        assert not (out / "results.csv").exists()
+
+    @pytest.mark.parametrize("key", ["barrier_point", "terminal"])
+    def test_a_missing_required_row_is_a_usage_error(self, tmp_path, capsys, key):
+        text = "\n".join(
+            line for line in CONFIGURED_WITH_DRIVER.splitlines() if not line.strip().startswith(key)
+        )
+        config = write_config(tmp_path, text + "\n")
+        assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        assert f"scenario section needs {key}" in capsys.readouterr().err
 
 
 README_CONFIGS = re.findall(

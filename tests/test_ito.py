@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -86,9 +88,23 @@ class TestFunctionRegistry:
 
     def test_one_dimensional_square(self):
         spec = make_function("power:2", 1)
-        assert spec.value(np.array([-3.0])) == 9.0
-        np.testing.assert_allclose(spec.gradient(np.array([-3.0])), [-6.0])
-        np.testing.assert_allclose(spec.hessian(np.array([-3.0])), [[2.0]])
+        np.testing.assert_array_equal(spec.value(np.array([-3.0])), [9.0])
+        np.testing.assert_allclose(spec.gradient(np.array([-3.0])), [[-6.0]])
+        np.testing.assert_allclose(spec.hessian(np.array([-3.0])), [[[2.0]]])
+
+    @pytest.mark.parametrize("name", ["quadratic", "cubic", "sin_sum", "power:1.5"])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_batched_callbacks_match_one_point_at_a_time(self, name, dimension, rng):
+        spec = make_function(name, dimension)
+        points = rng.uniform(0.5, 2.0, (7, dimension))
+        values, grads, hessians = spec.value(points), spec.gradient(points), spec.hessian(points)
+        assert values.shape == (7,)
+        assert grads.shape == (7, dimension)
+        assert hessians.shape == (7, dimension, dimension)
+        for i, x in enumerate(points):
+            np.testing.assert_allclose(spec.value(x), values[i : i + 1], rtol=1e-14)
+            np.testing.assert_allclose(spec.gradient(x), grads[i : i + 1], rtol=1e-14)
+            np.testing.assert_allclose(spec.hessian(x), hessians[i : i + 1], rtol=1e-14)
 
     def test_rejects_unknown_names_and_dimensions(self):
         with pytest.raises(ValueError, match="unknown smooth function"):
@@ -100,9 +116,9 @@ class TestFunctionRegistry:
         lying = SmoothFunctionSpec(
             "lying",
             1,
-            lambda x: float(x[0] ** 2),
+            lambda x: x[:, 0] ** 2,
             lambda x: 3.0 * x,
-            lambda x: np.array([[2.0]]),
+            lambda x: np.full((x.shape[0], 1, 1), 2.0),
         )
         with pytest.raises(ValueError, match="disagrees with finite differences"):
             check_consistency(lying, rng.uniform(1.0, 2.0, (4, 1)))
@@ -297,6 +313,8 @@ class TestTailInequality:
         path = random_path(grid(4), 1, rng)
         with pytest.raises(ValueError, match="outside the grid"):
             cor4_inequality_check(path, 1.5, t=5)
+        with pytest.raises(ValueError, match="outside the grid"):
+            cor4_inequality_check(path, 1.5, t=-1)
         with pytest.raises(ValueError, match="lie in"):
             cor4_inequality_check(path, 3.0)
 
@@ -353,3 +371,312 @@ class TestCsvRoundTrip:
         lines[3] = ",".join(cells)
         with pytest.raises(ValueError, match="disagree with the reconstructed"):
             parse_path_csv(g, "\n".join(lines))
+
+
+# ----------------------------------------------------------------------
+# the per-step loops the whole-path code replaced
+#
+# Each ``reference_*`` function below is the loop that computed the same
+# quantity one grid step at a time.  Sample values, the product identity
+# and the CSV text must come out bit for bit the same; the sums whose
+# order changed (tail sums, norms, batched function values) must agree
+# within REFERENCE_RTOL of the squared path scale.
+
+REFERENCE_RTOL = 1e-12
+
+
+def reference_sample_values(path):
+    n = path.grid.steps
+    d = path.dimension
+    point = np.empty((n + 1, d))
+    right = np.empty((n + 1, d))
+    left = np.empty((n + 1, d))
+    point[0] = path.x0
+    left[0] = path.x0
+    for i in range(n):
+        right[i] = point[i] + path.right_jumps[i]
+        left[i + 1] = right[i] + path.cont[i]
+        point[i + 1] = left[i + 1] + path.left_jumps[i + 1]
+    right[n] = point[n]
+    return point, right, left
+
+
+def reference_serialize_path_csv(path):
+    n = path.grid.steps
+    d = path.dimension
+    point, _, _ = reference_sample_values(path)
+    cols = ["index", "time"]
+    for group in ("c", "dminus", "dplus", "x"):
+        cols += [f"{group}_{k}" for k in range(d)]
+    lines = [",".join(cols)]
+    times = path.grid.times()
+    for i in range(n + 1):
+        c_row = path.cont[i] if i < n else np.zeros(d)
+        cells = [str(i), "%.17g" % times[i]]
+        for row in (c_row, path.left_jumps[i], path.right_jumps[i], point[i]):
+            cells += ["%.17g" % v for v in row]
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
+
+def reference_ito_residual(path, f):
+    def value(x):
+        return float(f.value(x)[0])
+
+    n = path.grid.steps
+    point, right, left = reference_sample_values(path)
+    res = np.zeros(n + 1)
+    running = 0.0
+    f0 = value(point[0])
+    for i in range(n):
+        running += value(right[i]) - value(point[i])
+        c = path.cont[i]
+        g = f.gradient(right[i])[0]
+        h = f.hessian(right[i])[0]
+        running += float(g @ c) + 0.5 * float(c @ h @ c)
+        dm = path.left_jumps[i + 1]
+        gm = f.gradient(left[i + 1])[0]
+        running += float(gm @ dm)
+        running += value(point[i + 1]) - value(left[i + 1]) - float(gm @ dm)
+        res[i + 1] = value(point[i + 1]) - f0 - running
+    return res
+
+
+def reference_product_residual(path1, path2):
+    n = path1.grid.steps
+    p1, r1, l1 = (a[:, 0] for a in reference_sample_values(path1))
+    p2, r2, l2 = (a[:, 0] for a in reference_sample_values(path2))
+    res = np.zeros(n + 1)
+    running = 0.0
+    start = p1[0] * p2[0]
+    for i in range(n):
+        running += r1[i] * r2[i] - p1[i] * p2[i]
+        c1 = path1.cont[i, 0]
+        c2 = path2.cont[i, 0]
+        running += r1[i] * c2 + r2[i] * c1 + c1 * c2
+        d1 = path1.left_jumps[i + 1, 0]
+        d2 = path2.left_jumps[i + 1, 0]
+        running += l1[i + 1] * d2 + l2[i + 1] * d1 + d1 * d2
+        res[i + 1] = p1[i + 1] * p2[i + 1] - start - running
+    return res
+
+
+def reference_norm_sgn(x):
+    r = float(np.linalg.norm(x))
+    if r == 0.0:
+        return 0.0, np.zeros_like(x)
+    return r, x / r
+
+
+def reference_grad_dot(x, p, delta):
+    r, s = reference_norm_sgn(x)
+    if r == 0.0:
+        return 0.0
+    return p * r ** (p - 1.0) * float(s @ delta)
+
+
+def reference_power_jump_terms(path, p):
+    n = path.grid.steps
+    point, right, left = reference_sample_values(path)
+    jminus = np.zeros(n)
+    jplus = np.zeros(n)
+    for i in range(n):
+        jplus[i] = (
+            float(np.linalg.norm(right[i])) ** p
+            - float(np.linalg.norm(point[i])) ** p
+            - reference_grad_dot(point[i], p, path.right_jumps[i])
+        )
+        jminus[i] = (
+            float(np.linalg.norm(point[i + 1])) ** p
+            - float(np.linalg.norm(left[i + 1])) ** p
+            - reference_grad_dot(left[i + 1], p, path.left_jumps[i + 1])
+        )
+    return jminus, jplus
+
+
+def reference_power_residual(path, p):
+    n = path.grid.steps
+    point, right, left = reference_sample_values(path)
+    jminus, jplus = reference_power_jump_terms(path, p)
+    res = np.zeros(n + 1)
+    running = 0.0
+    start = float(np.linalg.norm(point[0])) ** p
+    for i in range(n):
+        running += reference_grad_dot(point[i], p, path.right_jumps[i])
+        running += jplus[i]
+        c = path.cont[i]
+        running += reference_grad_dot(right[i], p, c)
+        r, s = reference_norm_sgn(right[i])
+        if r > 0.0:
+            c2 = float(c @ c)
+            qform = float(s @ c) ** 2
+            running += 0.5 * p * r ** (p - 2.0) * ((2.0 - p) * (c2 - qform) + (p - 1.0) * c2)
+        running += reference_grad_dot(left[i + 1], p, path.left_jumps[i + 1])
+        running += jminus[i]
+        res[i + 1] = float(np.linalg.norm(point[i + 1])) ** p - start - running
+    return res
+
+
+def reference_tail_slack(path, p):
+    """Slack of the tail bound at every grid time, one O(n) sum per time."""
+    n = path.grid.steps
+    point, right, left = reference_sample_values(path)
+    powers = np.array([float(np.linalg.norm(point[i])) ** p for i in range(n + 1)])
+    jminus, jplus = reference_power_jump_terms(path, p)
+    gplus = np.zeros(n)
+    lin = np.zeros(n)
+    bracket = np.zeros(n)
+    atoms = np.zeros(n)
+    for i in range(n):
+        gplus[i] = reference_grad_dot(point[i], p, path.right_jumps[i])
+        c = path.cont[i]
+        lin[i] = reference_grad_dot(right[i], p, c)
+        gap = (
+            float(np.linalg.norm(right[i] + c)) ** p
+            - float(np.linalg.norm(right[i])) ** p
+            - lin[i]
+        )
+        r, s = reference_norm_sgn(right[i])
+        ortho = 0.0
+        if r > 0.0:
+            c2 = float(c @ c)
+            ortho = 0.5 * p * (2.0 - p) * r ** (p - 2.0) * (c2 - float(s @ c) ** 2)
+        bracket[i] = gap - ortho
+        atoms[i] = reference_grad_dot(left[i + 1], p, path.left_jumps[i + 1])
+    slack = np.empty(n + 1)
+    for tau in range(n + 1):
+        lhs = (
+            powers[tau]
+            + float(np.sum(bracket[tau:]))
+            + float(np.sum(jminus[tau:]))
+            + float(np.sum(jplus[tau:]))
+        )
+        rhs = (
+            powers[n]
+            - float(np.sum(lin[tau:]))
+            - float(np.sum(atoms[tau:]))
+            - float(np.sum(gplus[tau:]))
+        )
+        slack[tau] = rhs - lhs
+    return slack
+
+
+def reference_jump_term_bounds(path, f):
+    def value(x):
+        return float(f.value(x)[0])
+
+    n = path.grid.steps
+    point, right, left = reference_sample_values(path)
+    jminus_total = jplus_total = sq_left = abs_right = hess_sup = grad_sup = 0.0
+    ts = np.linspace(0.0, 1.0, 9)[:, None]
+    for i in range(n):
+        dp = path.right_jumps[i]
+        jplus_total += abs(value(right[i]) - value(point[i]))
+        abs_right += float(np.linalg.norm(dp))
+        for x in point[i][None, :] * (1.0 - ts) + right[i][None, :] * ts:
+            grad_sup = max(grad_sup, float(np.linalg.norm(f.gradient(x)[0])))
+        dm = path.left_jumps[i + 1]
+        gm = f.gradient(left[i + 1])[0]
+        jminus_total += abs(value(point[i + 1]) - value(left[i + 1]) - float(gm @ dm))
+        sq_left += float(dm @ dm)
+        for x in left[i + 1][None, :] * (1.0 - ts) + point[i + 1][None, :] * ts:
+            hess_sup = max(hess_sup, float(np.linalg.norm(f.hessian(x)[0], ord=2)))
+    return {
+        "jminus_total": jminus_total,
+        "jminus_bound": 0.5 * hess_sup * sq_left,
+        "jplus_total": jplus_total,
+        "jplus_bound": grad_sup * abs_right,
+    }
+
+
+def origin_path():
+    """Dyadic 2-d path that sits at the origin at a point, a left limit and the end."""
+    return DiscreteSemimartingalePath(
+        grid(2),
+        [0.0, 0.0],
+        [[-0.5, 0.0], [0.0, -0.25]],
+        [[0.0, 0.0], [0.0, 0.25], [0.0, 0.0]],
+        [[0.5, 0.0], [0.0, 0.0], [0.0, 0.0]],
+    )
+
+
+def assert_close_at_path_scale(got, want, path):
+    scale = max(1.0, path.max_abs()) ** 2
+    assert float(np.max(np.abs(np.asarray(got) - np.asarray(want)))) <= REFERENCE_RTOL * scale
+
+
+class TestWholePathCodeAgainstTheStepLoops:
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_sample_values_and_csv_are_byte_equal(self, dimension, rng):
+        for steps in (1, 7, 64):
+            path = random_path(grid(steps), dimension, rng, jump_rate=0.5)
+            for got, want in zip(path.sample_values(), reference_sample_values(path)):
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+            assert serialize_path_csv(path) == reference_serialize_path_csv(path)
+
+    def test_signed_zero_samples_are_byte_equal(self):
+        # x + (-0.0) keeps -0.0, so the forced zero jumps must not turn it into +0.0
+        path = DiscreteSemimartingalePath(
+            grid(2), [-0.0, 1.0], np.zeros((2, 2)), np.zeros((3, 2)), np.zeros((3, 2))
+        )
+        for got, want in zip(path.sample_values(), reference_sample_values(path)):
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+        assert serialize_path_csv(path) == reference_serialize_path_csv(path)
+
+    @pytest.mark.parametrize("name", ["quadratic", "cubic", "sin_sum"])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_ito_residual_and_jump_bounds(self, name, dimension, rng):
+        spec = make_function(name, dimension)
+        for _ in range(3):
+            path = random_path(grid(48), dimension, rng, jump_rate=0.5)
+            assert_close_at_path_scale(
+                ito_residual(path, spec), reference_ito_residual(path, spec), path
+            )
+            got = jump_term_bounds(path, spec)
+            want = reference_jump_term_bounds(path, spec)
+            assert got.keys() == want.keys()
+            for key in want:
+                assert got[key] == pytest.approx(want[key], rel=REFERENCE_RTOL, abs=1e-15)
+
+    def test_product_residual_is_bit_identical(self, rng):
+        for steps in (1, 16, 64):
+            a = random_path(grid(steps), 1, rng, jump_rate=0.5)
+            b = random_path(grid(steps), 1, rng, jump_rate=0.5)
+            assert product_residual(a, b).tobytes() == reference_product_residual(a, b).tobytes()
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_power_terms_and_tail_slack(self, p, dimension, rng):
+        for _ in range(3):
+            path = random_path(grid(48), dimension, rng, jump_rate=0.5)
+            for got, want in zip(power_jump_terms(path, p), reference_power_jump_terms(path, p)):
+                assert_close_at_path_scale(got, want, path)
+            assert_close_at_path_scale(
+                power_residual(path, p).residual, reference_power_residual(path, p), path
+            )
+            slack = reference_tail_slack(path, p)
+            _, worst = cor4_inequality_check(path, p)
+            assert_close_at_path_scale(worst, np.min(slack), path)
+            for t in (0, 17, 48):
+                _, at_t = cor4_inequality_check(path, p, t=t)
+                assert_close_at_path_scale(at_t, slack[t], path)
+
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    def test_a_path_through_the_origin_uses_sgn_zero(self, p):
+        path = origin_path()
+        point, right, left = path.sample_values()
+        assert not np.any(point[0]) and not np.any(left[1]) and not np.any(point[2])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            jminus, jplus = power_jump_terms(path, p)
+            residual = power_residual(path, p).residual
+            _, worst = cor4_inequality_check(path, p)
+        # sgn(0) = 0 drops the gradient atoms at the origin, so the convex
+        # corrections are the full powers of the jumps away from it
+        np.testing.assert_array_equal(jplus, [0.5 ** p, 0.0])
+        np.testing.assert_array_equal(jminus, [0.25 ** p, 0.0])
+        ref_jminus, ref_jplus = reference_power_jump_terms(path, p)
+        np.testing.assert_array_equal(jminus, ref_jminus)
+        np.testing.assert_array_equal(jplus, ref_jplus)
+        assert_close_at_path_scale(residual, reference_power_residual(path, p), path)
+        assert_close_at_path_scale(worst, np.min(reference_tail_slack(path, p)), path)

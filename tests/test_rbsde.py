@@ -171,6 +171,15 @@ class TestBarrierTransform:
         with pytest.raises(ValueError, match="one value per interval"):
             barrier_transform(sc.barrier, sc.terminal, np.zeros(5), sc.driver)
 
+    @pytest.mark.parametrize("entry", [np.nan, -np.inf, np.inf])
+    def test_rejects_a_non_finite_bound_by_name(self, rng, entry):
+        sc = random_scenario(rng, depth=3, name="nanbound")
+        bound = np.array([-1.0, entry, -1.0])
+        with pytest.raises(ValueError, match="lower bound must be finite"):
+            barrier_transform(sc.barrier, sc.terminal, bound, sc.driver)
+        with pytest.raises(ValueError, match="lower bound must be finite"):
+            solve_via_reduction(sc.terminal, sc.gen, sc.driver, sc.barrier, bound=bound)
+
 
 class TestReduction:
     def test_agrees_with_direct_on_random_problems(self, rng):

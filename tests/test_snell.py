@@ -68,6 +68,14 @@ class TestSingleStepExamples:
         with pytest.raises(ValueError, match="fails to dominate"):
             snell_envelope(barrier, [0.0, 0.0])
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf])
+    def test_rejects_a_non_finite_terminal(self, entry):
+        # the envelope takes no implicit step, so nothing downstream would notice
+        tree = small_tree(1)
+        barrier = AdaptedRegulatedProcess.from_levels(tree, [[0.0], [0.0, 0.0]], [[0.0]])
+        with pytest.raises(ValueError, match="non-finite"):
+            snell_envelope(barrier, [1.0, entry])
+
 
 class TestAgainstBruteForce:
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])

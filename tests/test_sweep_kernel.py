@@ -12,7 +12,13 @@ to rounding of the data scale.
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from rbsdelab.bsde import implicit_interval_step, make_generator, solve_bsde, table_generator
+from rbsdelab.bsde import (
+    backward_sweep,
+    implicit_interval_step,
+    make_generator,
+    solve_bsde,
+    table_generator,
+)
 from rbsdelab.grid_path import TimeGrid
 from rbsdelab.penalization import sigma_array, solve_penalized
 from rbsdelab.rbsde import (
@@ -23,7 +29,12 @@ from rbsdelab.rbsde import (
 )
 from rbsdelab.scenarios import Scenario, cadlag_scenario, random_scenario
 from rbsdelab.snell import snell_envelope
-from rbsdelab.tree_space import AdaptedRegulatedProcess, KIncrements, build_tree
+from rbsdelab.tree_space import (
+    AdaptedRegulatedProcess,
+    KIncrements,
+    build_tree,
+    conditional_expectation,
+)
 
 # the modified scheme's corrections differ by one rounding per detected node,
 # carried backward through contractive steps
@@ -242,3 +253,36 @@ def drawn_instance(depth, kind, seed):
 )
 def test_every_solve_matches_its_reference_loop(depth, kind, seed):
     check_every_solve(drawn_instance(depth, kind, seed), levels=(1, 16))
+
+
+# signed zeros and subnormals: the sibling mean of -5e-324 and 0.0 rounds to -0.0
+SIGNED_ZEROS = np.array([-0.0, 0.0, -5e-324, 5e-324, -1.0, 1.0])
+
+
+def test_envelope_without_zero_terms_keeps_the_zero_generator_bytes():
+    """The envelope hands the kernel no generator and no driver.
+
+    Their zero terms add 0.0, which turns a -0.0 in cond or in a value into
+    +0.0, so leaving them out must still give the bytes of the zero
+    generator and the zero driver.
+    """
+    rng = np.random.default_rng(7)
+    tree = build_tree(TimeGrid(1.0, 4))
+    zero_gen, zero_driver = make_generator("zero"), AdaptedRegulatedProcess.zeros(tree)
+    negative_zero_conds = 0
+    for _ in range(60):
+        barrier = AdaptedRegulatedProcess(
+            tree, rng.choice(SIGNED_ZEROS, 31), rng.choice(SIGNED_ZEROS, 15)
+        )
+        terminal = np.maximum(rng.choice(SIGNED_ZEROS, 16), barrier.point[4])
+        cond = conditional_expectation(tree, terminal)
+        negative_zero_conds += int(np.sum((cond == 0.0) & np.signbit(cond)))
+        dec = snell_envelope(barrier, terminal)
+        zero_terms = backward_sweep(
+            tree, terminal, zero_gen, zero_driver, floor=barrier.right, point_floor=barrier.point
+        )
+        assert_same_bytes(
+            solution_arrays(dec.envelope, dec.integrand, dec.increasing),
+            solution_arrays(zero_terms.value, zero_terms.integrand, zero_terms.increments),
+        )
+    assert negative_zero_conds > 0
