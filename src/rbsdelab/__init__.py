@@ -7,14 +7,7 @@ means, so every identity can be verified against brute-force enumeration
 instead of Monte Carlo noise.
 """
 
-from .grid_path import (
-    TimeGrid,
-    RegulatedPath,
-    make_regulated_path,
-    decompose,
-    total_variation,
-    increments_dominated,
-)
+from .grid_path import TimeGrid
 from .tree_space import (
     TreeSpace,
     AdaptedRegulatedProcess,
@@ -78,11 +71,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TimeGrid",
-    "RegulatedPath",
-    "make_regulated_path",
-    "decompose",
-    "total_variation",
-    "increments_dominated",
     "TreeSpace",
     "AdaptedRegulatedProcess",
     "build_tree",

@@ -1,7 +1,7 @@
 """The package's one backward sweep, and the unreflected equation it solves.
 
-The interval step is implicit in y: each level solves the scalar equation
-y = E + f(t, y, z) dt per node, whose residual is strictly increasing when
+The interval step is implicit in y: each level i solves the scalar equation
+y = E + f(i, y, z) dt per node, whose residual is strictly increasing when
 the generator's one-sided y-slope times the step stays below one, by Newton
 steps on the generator's declared y-slope inside a bisection bracket.  Left
 jumps of the driver are folded into the conditional-expectation input, right
@@ -45,26 +45,28 @@ class SolverError(RuntimeError):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """Driver f(t, y, z) with its declared regularity constants.
+    """Driver f(level, y, z) on the tree, with its declared regularity constants.
 
-    ``fn`` must accept scalar t and numpy arrays y, z of a common shape and
-    return an array of that shape.  ``lipschitz_z`` bounds |f(t,y,z)-f(t,y,z')|
-    by a multiple of |z-z'|; ``monotone_y`` bounds (y-y')(f(t,y,z)-f(t,y',z))
-    by a multiple of (y-y')**2 and may be negative.  ``dy``, if given, is the
-    partial derivative of f in y at (t, y, z), as an array of y's shape or a
+    Time on the tree is the level: ``fn`` receives the int index i of the
+    interval (t_i, t_{i+1}) and numpy arrays y, z of broadcastable shapes,
+    and returns an array of their broadcast shape; the level's grid time is
+    ``tree.time(i)``.  ``lipschitz_z`` bounds |f(i,y,z)-f(i,y,z')| by a
+    multiple of |z-z'|; ``monotone_y`` bounds (y-y')(f(i,y,z)-f(i,y',z)) by a
+    multiple of (y-y')**2 and may be negative.  ``dy``, if given, is the
+    partial derivative of f in y at (i, y, z), as an array of y's shape or a
     scalar; the implicit step takes Newton steps on it.  ``None`` means the
     step treats the slope as zero, which makes each of its steps a
     fixed-point step: exact for drivers that ignore y.
     """
 
     name: str
-    fn: Callable[[float, np.ndarray, np.ndarray], np.ndarray]
+    fn: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     lipschitz_z: float
     monotone_y: float
-    dy: Callable[[float, np.ndarray, np.ndarray], np.ndarray | float] | None = None
+    dy: Callable[[int, np.ndarray, np.ndarray], np.ndarray | float] | None = None
 
-    def __call__(self, t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(t, y, z), dtype=float)
+    def __call__(self, level: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        return np.asarray(self.fn(level, y, z), dtype=float)
 
 
 @dataclass
@@ -82,27 +84,43 @@ def make_generator(spec: str) -> GeneratorSpec:
     Supported names: ``zero``, ``constant:<c>``, ``linear:<a>,<b>`` meaning
     f = a*y + b*z, and ``monotone_cubic:<mu>`` meaning f = -y**3 + mu*y,
     evaluated as -(y*y*y) + mu*y.  The linear and cubic ones declare their
-    y-slope.  Node-dependent tables are built with :func:`table_generator`
-    instead.
+    y-slope.  Every coefficient must be a finite number.  Node-dependent
+    tables are built with :func:`table_generator` instead.
     """
     name = spec.strip()
     if name == "zero":
-        return GeneratorSpec("zero", lambda t, y, z: np.zeros_like(y), 0.0, 0.0)
+        return GeneratorSpec("zero", lambda level, y, z: np.zeros_like(y), 0.0, 0.0)
     if name.startswith("constant:"):
-        c = float(name.split(":", 1)[1])
-        return GeneratorSpec(name, lambda t, y, z: np.full_like(y, c), 0.0, 0.0)
+        (c,) = _coefficients(name, 1)
+        return GeneratorSpec(name, lambda level, y, z: np.full_like(y, c), 0.0, 0.0)
     if name.startswith("linear:"):
-        parts = name.split(":", 1)[1].split(",")
-        if len(parts) != 2:
-            raise ValueError(f"linear generator needs two coefficients, got {spec!r}")
-        a, b = float(parts[0]), float(parts[1])
-        return GeneratorSpec(name, lambda t, y, z: a * y + b * z, abs(b), a, lambda t, y, z: a)
-    if name.startswith("monotone_cubic:"):
-        mu = float(name.split(":", 1)[1])
+        a, b = _coefficients(name, 2)
         return GeneratorSpec(
-            name, lambda t, y, z: -(y * y * y) + mu * y, 0.0, mu, lambda t, y, z: mu - 3.0 * y * y
+            name, lambda level, y, z: a * y + b * z, abs(b), a, lambda level, y, z: a
+        )
+    if name.startswith("monotone_cubic:"):
+        (mu,) = _coefficients(name, 1)
+        return GeneratorSpec(
+            name,
+            lambda level, y, z: -(y * y * y) + mu * y,
+            0.0,
+            mu,
+            lambda level, y, z: mu - 3.0 * y * y,
         )
     raise ValueError(f"unknown generator {spec!r}")
+
+
+def _coefficients(name: str, count: int) -> list[float]:
+    parts = name.split(":", 1)[1].split(",")
+    if len(parts) != count:
+        raise ValueError(f"generator {name!r} needs {count} coefficient(s), got {len(parts)}")
+    try:
+        values = [float(part) for part in parts]
+    except ValueError:
+        raise ValueError(f"generator {name!r} has a non-numeric coefficient") from None
+    if not all(np.isfinite(values)):
+        raise ValueError(f"generator {name!r} has a non-finite coefficient")
+    return values
 
 
 def table_generator(
@@ -110,28 +128,21 @@ def table_generator(
 ) -> GeneratorSpec:
     """Frozen per-node driver given by one row per interval level.
 
-    ``rows[i]`` holds the interval value of f on (t_i, t_{i+1}) per node (a
-    scalar row broadcasts).  Evaluation ignores y and z, so both regularity
-    constants are zero.  The lookup keys on t, which must be a grid time.
+    ``rows[i]`` holds the value of f on (t_i, t_{i+1}) at each node of level
+    i, or one value for the whole level.  Evaluation at level i returns that
+    row broadcast against y, as a read-only view; the values of y and z are
+    ignored, so both regularity constants are zero.
     """
-    dt = tree.dt
     frozen = []
     for i in range(tree.depth):
         row = np.asarray(rows[i], dtype=float).reshape(-1)
-        if row.shape[0] == 1:
-            row = np.full(tree.n_nodes(i), row[0])
-        if row.shape[0] != tree.n_nodes(i):
-            raise ValueError(f"table row {i} must have {tree.n_nodes(i)} entries")
+        if row.shape[0] not in (1, tree.n_nodes(i)):
+            raise ValueError(f"table row {i} must have 1 or {tree.n_nodes(i)} entries")
         frozen.append(row)
 
-    def fn(t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        level = int(round(t / dt))
-        if not 0 <= level < len(frozen) or abs(level * dt - t) > 1e-9:
-            raise ValueError(f"table generator evaluated off-grid at t={t}")
+    def fn(level: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         row = frozen[level]
-        if np.shape(y) != row.shape:
-            raise ValueError("table generator evaluated with a mismatched level array")
-        return row.copy()
+        return np.broadcast_to(row, np.broadcast_shapes(row.shape, np.shape(y)))
 
     return GeneratorSpec(name, fn, 0.0, 0.0)
 
@@ -140,11 +151,11 @@ def validate_generator(
     gen: GeneratorSpec,
     rng: np.random.Generator,
     samples: int = 64,
-    t_values: tuple[float, ...] = (0.0,),
+    levels: tuple[int, ...] = (0,),
     box: float = 3.0,
     tol: float = 1e-9,
 ) -> None:
-    """Check the declared constants on sampled triples.
+    """Check the declared constants on sampled triples, at levels drawn from ``levels``.
 
     Raises
     ------
@@ -154,24 +165,24 @@ def validate_generator(
         from a central difference of ``fn``.
     """
     for _ in range(samples):
-        t = float(rng.choice(t_values))
+        level = int(rng.choice(levels))
         y, y2, z, z2 = rng.uniform(-box, box, size=4)
         y_arr = np.array([y])
-        fz = float(gen(t, y_arr, np.array([z]))[0])
-        fz2 = float(gen(t, y_arr, np.array([z2]))[0])
+        fz = float(gen(level, y_arr, np.array([z]))[0])
+        fz2 = float(gen(level, y_arr, np.array([z2]))[0])
         if abs(fz - fz2) > gen.lipschitz_z * abs(z - z2) + tol:
             raise ValueError(f"generator {gen.name} violates its z-Lipschitz constant")
-        fy = float(gen(t, np.array([y]), np.array([z]))[0])
-        fy2 = float(gen(t, np.array([y2]), np.array([z]))[0])
+        fy = float(gen(level, np.array([y]), np.array([z]))[0])
+        fy2 = float(gen(level, np.array([y2]), np.array([z]))[0])
         if (y - y2) * (fy - fy2) > gen.monotone_y * (y - y2) ** 2 + tol:
             raise ValueError(f"generator {gen.name} violates its y-monotonicity constant")
         if gen.dy is not None:
             # the difference's own error is far below this tolerance on the box
             h = 1e-6 * (1.0 + abs(y))
-            up = float(gen(t, np.array([y + h]), np.array([z]))[0])
-            down = float(gen(t, np.array([y - h]), np.array([z]))[0])
+            up = float(gen(level, np.array([y + h]), np.array([z]))[0])
+            down = float(gen(level, np.array([y - h]), np.array([z]))[0])
             difference = (up - down) / (2.0 * h)
-            declared = float(np.broadcast_to(gen.dy(t, y_arr, np.array([z])), (1,))[0])
+            declared = float(np.broadcast_to(gen.dy(level, y_arr, np.array([z])), (1,))[0])
             if abs(declared - difference) > 1e-6 * (1.0 + abs(difference)) + tol:
                 raise ValueError(f"generator {gen.name} declares a wrong y-slope")
 
@@ -190,16 +201,16 @@ def check_contraction(gen: GeneratorSpec, tree: TreeSpace) -> None:
 
 def implicit_interval_step(
     gen: GeneratorSpec | None,
-    t: float,
+    level: int,
     cond: np.ndarray,
     z: np.ndarray,
     dt: float,
     floor: np.ndarray | None = None,
     penalty: float = 0.0,
 ) -> np.ndarray:
-    """Solve y = cond + f(t, y, z) dt (+ reflection or penalty) per node.
+    """Solve y = cond + f(level, y, z) dt (+ reflection or penalty) per node.
 
-    The residual y - cond - f(t, y, z) dt is strictly increasing, with slope
+    The residual y - cond - f(level, y, z) dt is strictly increasing, with slope
     at least 1 - max(0, monotone_y)*dt, so its root is unique and bracketed;
     :func:`_newton_root` finds it by Newton steps on the declared slope
     ``gen.dy`` inside that bracket.  With ``floor`` set, the reflected
@@ -224,10 +235,10 @@ def implicit_interval_step(
     n_dt = penalty * dt
 
     def drift(values: np.ndarray) -> np.ndarray:
-        return cond + (0.0 if gen is None else gen(t, values, z) * dt)
+        return cond + (0.0 if gen is None else gen(level, values, z) * dt)
 
     def drift_slope(values: np.ndarray):
-        return 0.0 if gen.dy is None else gen.dy(t, values, z) * dt
+        return 0.0 if gen.dy is None else gen.dy(level, values, z) * dt
 
     def relax(values: np.ndarray) -> np.ndarray:
         return (values + n_dt * floor) / (1.0 + n_dt)
@@ -243,7 +254,7 @@ def implicit_interval_step(
         return update(cond)
     slope = 1.0 - max(0.0, gen.monotone_y) * dt
     if slope <= 0.0:
-        raise SolverError(f"implicit step not solvable at t={t:.6g}: monotone_y*dt >= 1")
+        raise SolverError(f"implicit step not solvable at level {level}: monotone_y*dt >= 1")
     scale = max(1.0, float(np.max(np.abs(cond))), float(np.max(np.abs(floor))) if floor is not None else 0.0)
     # a steep generator overflows far outside the bracket, where the candidate
     # is replaced by the midpoint, so overflow must not warn
@@ -258,7 +269,7 @@ def implicit_interval_step(
             y = np.maximum(y, floor)
         err = float(np.max(np.abs(y - update(y))))
     if not err <= FIXED_POINT_TOL * scale:
-        return _bisect_step(update, gen, cond, dt, t, scale)
+        return _bisect_step(update, cond, slope, level, scale)
     return y
 
 
@@ -296,10 +307,8 @@ def _newton_root(update, update_slope, start: np.ndarray, slope: float) -> np.nd
     return y
 
 
-def _bisect_step(update, gen: GeneratorSpec, start: np.ndarray, dt: float, t: float, scale: float) -> np.ndarray:
-    slope = 1.0 - max(0.0, gen.monotone_y) * dt
-    if slope <= 0.0:
-        raise SolverError(f"implicit step not solvable at t={t:.6g}: monotone_y*dt >= 1")
+def _bisect_step(update, start: np.ndarray, slope: float, level: int, scale: float) -> np.ndarray:
+    """Root of y - update(y) per node by bisection; ``slope`` > 0 bounds the residual's slope."""
     residual0 = start - update(start)
     width = np.abs(residual0) / slope + 1.0
     lo = start - width
@@ -315,7 +324,7 @@ def _bisect_step(update, gen: GeneratorSpec, start: np.ndarray, dt: float, t: fl
     y = 0.5 * (lo + hi)
     err = float(np.max(np.abs(y - update(y))))
     if not err <= FIXED_POINT_TOL * scale:
-        raise SolverError(f"implicit step failed to converge at t={t:.6g} (residual {err:.3e})")
+        raise SolverError(f"implicit step failed to converge at level {level} (residual {err:.3e})")
     return y
 
 
@@ -385,11 +394,10 @@ def backward_sweep(
         cond = conditional_expectation(tree, w)
         z = integrand[i]
         z[:] = martingale_representation(tree, w)
-        t = tree.time(i)
         level_floor = None if floor is None else floor[i]
-        y = implicit_interval_step(gen, t, cond, z, dt, floor=level_floor, penalty=penalty)
+        y = implicit_interval_step(gen, i, cond, z, dt, floor=level_floor, penalty=penalty)
         if level_floor is not None:
-            total = np.maximum(y - cond - (0.0 if gen is None else gen(t, y, z) * dt), 0.0)
+            total = np.maximum(y - cond - (0.0 if gen is None else gen(i, y, z) * dt), 0.0)
             if penalty > 0.0:
                 k.interval[i][:] = total
             else:
@@ -450,8 +458,7 @@ def dynamics_residual(
 
     worst = float(np.max(np.abs(y.point[tree.depth] - xi)))
     for i in range(tree.depth):
-        t = tree.time(i)
-        f_val = np.asarray(gen(t, y.right[i], z[i]), dtype=float)
+        f_val = gen(i, y.right[i], z[i])
         parent_part = f_val * tree.dt + k.interval[i]
         recon = (
             y.point[i + 1]
@@ -534,8 +541,8 @@ def exponential_transform(
 ) -> TransformedProblem:
     """Map a problem and optionally its solution through y -> exp(a t) y.
 
-    The transformed generator is exp(a t) f(t, exp(-a t) y, exp(-a t) z) - a y,
-    which keeps the z-Lipschitz constant and shifts the y-monotonicity
+    The transformed generator is exp(a t) f(i, exp(-a t) y, exp(-a t) z) - a y
+    at level i with t = ``tree.time(i)``, which keeps the z-Lipschitz constant and shifts the y-monotonicity
     constant and the y-slope down by ``rate``.  Driver jumps scale by the
     factor at their own instant; barrier interval values scale by the factor
     at the interval's left end.  The components of ``solution`` are scaled
@@ -551,15 +558,15 @@ def exponential_transform(
     base_fn = gen.fn
     base_dy = gen.dy
 
-    def transformed_fn(t: float, y: np.ndarray, z: np.ndarray) -> np.ndarray:
-        e = np.exp(a * t)
-        return e * np.asarray(base_fn(t, y / e, z / e), dtype=float) - a * y
+    def transformed_fn(level: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
+        e = np.exp(a * tree.time(level))
+        return e * np.asarray(base_fn(level, y / e, z / e), dtype=float) - a * y
 
-    def transformed_dy(t: float, y: np.ndarray, z: np.ndarray):
+    def transformed_dy(level: int, y: np.ndarray, z: np.ndarray):
         if base_dy is None:
             return -a
-        e = np.exp(a * t)
-        return base_dy(t, y / e, z / e) - a
+        e = np.exp(a * tree.time(level))
+        return base_dy(level, y / e, z / e) - a
 
     gen_t = GeneratorSpec(
         name=f"expshift[{a:g}]:{gen.name}",

@@ -1,34 +1,16 @@
-"""Deterministic regulated (ladlag) trajectories on a uniform time grid.
+"""Uniform time grids.
 
-A regulated path is described by its value at each grid point together with
-its value just after each grid point.  The path is constant on every open
-interval, so the value just after t_i is also the left limit at t_{i+1}.
-Right jumps at T and left jumps at 0 are zero by convention.
+The tree's levels are the points t_i = i * dt of a :class:`TimeGrid`; the
+regulated processes on it carry their right and left jumps themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-__all__ = [
-    "EQUALITY_TOL",
-    "TimeGrid",
-    "RegulatedPath",
-    "JumpStat",
-    "make_regulated_path",
-    "jump_stats",
-    "decompose",
-    "total_variation",
-    "increments_dominated",
-    "serialize_path",
-    "parse_path",
-]
-
-# Absolute comparison tolerance, scaled by path magnitude where used.
-EQUALITY_TOL = 1e-12
+__all__ = ["TimeGrid"]
 
 
 @dataclass(frozen=True)
@@ -60,147 +42,3 @@ class TimeGrid:
     def times(self) -> np.ndarray:
         """Grid points t_0 .. t_N as an array of length N + 1."""
         return np.arange(self.steps + 1) * self.dt
-
-
-def _frozen_array(values, length: int, label: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float).copy()
-    if arr.ndim != 1 or arr.shape[0] != length:
-        raise ValueError(f"{label} must be a flat sequence of length {length}, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{label} contains a non-finite entry")
-    arr.setflags(write=False)
-    return arr
-
-
-@dataclass(frozen=True)
-class RegulatedPath:
-    """A ladlag trajectory sampled at grid points and just after them.
-
-    ``point_values[i]`` is X(t_i) and ``right_values[i]`` is X(t_i+), the
-    constant value on the open interval (t_i, t_{i+1}).  The left limit at
-    t_{i+1} therefore equals ``right_values[i]``.
-    """
-
-    grid: TimeGrid
-    point_values: np.ndarray
-    right_values: np.ndarray
-
-    def delta_plus(self) -> np.ndarray:
-        """Right jumps at t_0 .. t_N; the entry at T is zero by convention."""
-        out = np.zeros(self.grid.steps + 1)
-        out[:-1] = self.right_values - self.point_values[:-1]
-        return out
-
-    def delta_minus(self) -> np.ndarray:
-        """Left jumps at t_0 .. t_N; the entry at 0 is zero by convention."""
-        out = np.zeros(self.grid.steps + 1)
-        out[1:] = self.point_values[1:] - self.right_values
-        return out
-
-    def scale(self) -> float:
-        """Magnitude used to scale absolute tolerances."""
-        return max(
-            1.0,
-            float(np.max(np.abs(self.point_values))),
-            float(np.max(np.abs(self.right_values))) if self.right_values.size else 0.0,
-        )
-
-
-class JumpStat(NamedTuple):
-    delta_plus: float
-    delta_minus: float
-    left_upper_limit: float | None
-
-
-def make_regulated_path(grid: TimeGrid, point_values, right_values) -> RegulatedPath:
-    """Validate raw samples and assemble a :class:`RegulatedPath`.
-
-    Parameters
-    ----------
-    grid : TimeGrid
-    point_values : sequence of N + 1 floats
-        Values X(t_i) at the grid points.
-    right_values : sequence of N floats
-        Values X(t_i+); the implied trajectory is constant on open intervals.
-
-    Raises
-    ------
-    ValueError
-        On a length mismatch or a non-finite entry.
-    """
-    points = _frozen_array(point_values, grid.steps + 1, "point_values")
-    rights = _frozen_array(right_values, grid.steps, "right_values")
-    return RegulatedPath(grid=grid, point_values=points, right_values=rights)
-
-
-def jump_stats(path: RegulatedPath) -> dict[int, JumpStat]:
-    """Per-index jumps and the left upper limit of the path.
-
-    Returns a mapping i -> (right jump at t_i, left jump at t_i, left upper
-    limit at t_i).  The left upper limit at t_i is the constant value on
-    (t_{i-1}, t_i); at i = 0 it is undefined and reported as None.
-    """
-    dplus = path.delta_plus()
-    dminus = path.delta_minus()
-    stats: dict[int, JumpStat] = {}
-    for i in range(path.grid.steps + 1):
-        upper = float(path.right_values[i - 1]) if i >= 1 else None
-        stats[i] = JumpStat(float(dplus[i]), float(dminus[i]), upper)
-    return stats
-
-
-def decompose(path: RegulatedPath) -> tuple[RegulatedPath, RegulatedPath]:
-    """Split a path into its cadlag part and its accumulated right jumps.
-
-    The second component is V^d(t) = sum of right jumps strictly before t,
-    so it carries all right jumps of the input; the first component is the
-    remainder and has zero right jumps.  Their sum reproduces the input.
-    """
-    dplus = path.delta_plus()[:-1]
-    jump_points = np.concatenate(([0.0], np.cumsum(dplus)))
-    jump_rights = jump_points[:-1] + dplus
-    cadlag_points = path.point_values - jump_points
-    cadlag_rights = path.right_values - jump_rights
-    right_jump_part = make_regulated_path(path.grid, jump_points, jump_rights)
-    cadlag_part = make_regulated_path(path.grid, cadlag_points, cadlag_rights)
-    return cadlag_part, right_jump_part
-
-
-def total_variation(path: RegulatedPath) -> float:
-    """Total variation over [0, T].
-
-    The path is constant on open intervals, so the variation is the summed
-    magnitude of all left and right jumps.
-    """
-    return float(np.sum(np.abs(path.delta_plus())) + np.sum(np.abs(path.delta_minus())))
-
-
-def increments_dominated(lower: RegulatedPath, upper: RegulatedPath, tol: float = 0.0) -> bool:
-    """Whether every increment of ``upper`` dominates the one of ``lower``.
-
-    Checks the componentwise ordering of finite-variation measures: interval
-    increments (structurally zero here), left jumps, and right jumps.
-    """
-    if lower.grid != upper.grid:
-        raise ValueError("paths live on different grids")
-    return bool(
-        np.all(upper.delta_plus() - lower.delta_plus() >= -tol)
-        and np.all(upper.delta_minus() - lower.delta_minus() >= -tol)
-    )
-
-
-def serialize_path(path: RegulatedPath) -> str:
-    """Two comma-separated numeric rows: point values, then right values."""
-    points = ",".join(format(v, ".17g") for v in path.point_values)
-    rights = ",".join(format(v, ".17g") for v in path.right_values)
-    return points + "\n" + rights + "\n"
-
-
-def parse_path(grid: TimeGrid, text: str) -> RegulatedPath:
-    """Inverse of :func:`serialize_path` for a known grid."""
-    rows = [row for row in text.strip().splitlines() if row.strip()]
-    if len(rows) != 2:
-        raise ValueError(f"expected two numeric rows, got {len(rows)}")
-    points = [float(tok) for tok in rows[0].split(",")]
-    rights = [float(tok) for tok in rows[1].split(",")] if rows[1].strip() else []
-    return make_regulated_path(grid, points, rights)

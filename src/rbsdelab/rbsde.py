@@ -153,10 +153,7 @@ def stopping_representation_check(
     """
     tree = trip.value.tree
     xi = np.asarray(terminal, dtype=float)
-    running = [
-        np.asarray(gen(tree.time(i), trip.value.right[i], trip.integrand[i]), dtype=float)
-        for i in range(tree.depth)
-    ]
+    running = [gen(i, trip.value.right[i], trip.integrand[i]) for i in range(tree.depth)]
     point_sup, right_sup = rule_value_fields(tree, barrier, xi, driver=driver, running_right=running)
     return max(
         _sup_gap(trip.value.points, np.concatenate(point_sup)),
@@ -215,23 +212,15 @@ def _bound_rows(gen: GeneratorSpec, tree: TreeSpace, lo: float, hi: float) -> np
     zcap = (hi - lo) / (2.0 * tree.sqrt_dt)
     rows = np.empty(tree.depth)
     for i in range(tree.depth):
-        vals = _generator_samples(gen, tree, i, lattice, np.array([0.0]))
+        vals = _generator_samples(gen, i, lattice, np.array([0.0]))
         rows[i] = float(np.min(vals)) - gen.lipschitz_z * zcap - BOUND_MARGIN
     return rows
 
 
-def _generator_samples(
-    gen: GeneratorSpec, tree: TreeSpace, level: int, ys: np.ndarray, zs: np.ndarray
-) -> np.ndarray:
-    # Node-table drivers only evaluate on level-shaped arrays; they ignore
-    # (y, z), so one evaluation covers the whole box.
-    t = tree.time(level)
-    try:
-        blocks = [np.asarray(gen(t, ys, np.full_like(ys, zv)), dtype=float) for zv in zs]
-        return np.concatenate(blocks)
-    except ValueError:
-        m = tree.n_nodes(level)
-        return np.asarray(gen(t, np.zeros(m), np.zeros(m)), dtype=float)
+def _generator_samples(gen: GeneratorSpec, level: int, ys: np.ndarray, zs: np.ndarray) -> np.ndarray:
+    # one evaluation on the y column against the z row covers the whole box;
+    # a node table broadcasts its level row against the column
+    return gen(level, ys[:, None], zs[None, :])
 
 
 def barrier_transform(
@@ -314,7 +303,7 @@ def _check_bound_on_samples(
     zcap = (hi - lo) / (2.0 * tree.sqrt_dt)
     zs = np.linspace(-zcap, zcap, 9)
     for i in range(tree.depth):
-        vals = _generator_samples(gen, tree, i, ys, zs)
+        vals = _generator_samples(gen, i, ys, zs)
         if float(np.min(vals)) < rows[i] - tol:
             raise ValueError("lower-bound violation detected on samples")
 
@@ -361,9 +350,7 @@ def solve_via_reduction(
         trip = backward_sweep(tree, terminal, gen, driver, floor=lhat.right, point_floor=lhat.point)
         worst = 0.0
         for i in range(tree.depth):
-            f_val = np.asarray(
-                gen(tree.time(i), trip.value.right[i], trip.integrand[i]), dtype=float
-            )
+            f_val = gen(i, trip.value.right[i], trip.integrand[i])
             worst = max(worst, float(np.max(rows[i] - f_val)))
         if worst <= 1e-9 * max(1.0, float(np.max(np.abs(rows)))):
             return trip
@@ -438,9 +425,8 @@ def compare_solutions(
     sol2 = solve_reflected_direct(second.terminal, second.gen, second.driver, second.barrier)
 
     for i in range(tree.depth):
-        t = tree.time(i)
-        f1 = np.asarray(first.gen(t, sol2.value.right[i], sol2.integrand[i]), dtype=float)
-        f2 = np.asarray(second.gen(t, sol2.value.right[i], sol2.integrand[i]), dtype=float)
+        f1 = first.gen(i, sol2.value.right[i], sol2.integrand[i])
+        f2 = second.gen(i, sol2.value.right[i], sol2.integrand[i])
         if float(np.max(f1 - f2)) > tol:
             return ComparisonReport(
                 valid=False, reason="generators are not ordered along the second solution"

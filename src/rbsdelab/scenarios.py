@@ -145,8 +145,8 @@ def shifted_generator(gen: GeneratorSpec, shift: float) -> GeneratorSpec:
     """The same driver raised by a constant; regularity constants and y-slope unchanged."""
     s = float(shift)
 
-    def fn(t, y, z):
-        return gen(t, y, z) + s
+    def fn(level, y, z):
+        return gen(level, y, z) + s
 
     return GeneratorSpec(f"{gen.name}+{s!r}", fn, gen.lipschitz_z, gen.monotone_y, gen.dy)
 
@@ -154,17 +154,13 @@ def shifted_generator(gen: GeneratorSpec, shift: float) -> GeneratorSpec:
 def level_shifted_generator(
     tree: TreeSpace, gen: GeneratorSpec, deltas: np.ndarray
 ) -> GeneratorSpec:
-    """The driver plus a deterministic per-interval offset table."""
+    """The driver plus a deterministic offset per interval level."""
     offs = np.asarray(deltas, dtype=float).reshape(-1)
     if offs.shape[0] != tree.depth:
         raise ValueError(f"need one offset per interval ({tree.depth}), got {offs.shape[0]}")
-    dt = tree.dt
 
-    def fn(t, y, z):
-        level = int(round(t / dt))
-        if not 0 <= level < offs.shape[0] or abs(level * dt - t) > 1e-9:
-            raise ValueError(f"offset table evaluated off-grid at t={t}")
-        return gen(t, y, z) + offs[level]
+    def fn(level, y, z):
+        return gen(level, y, z) + offs[level]
 
     return GeneratorSpec(f"{gen.name}+table", fn, gen.lipschitz_z, gen.monotone_y, gen.dy)
 
@@ -389,10 +385,7 @@ def parse_level_rows(text: str, tree: TreeSpace, levels: int) -> list[np.ndarray
         raise ValueError(f"expected {levels} level rows separated by ';', got {len(chunks)}")
     rows = []
     for i, chunk in enumerate(chunks):
-        try:
-            values = np.array([float(tok) for tok in chunk.split(",") if tok.strip()])
-        except ValueError as exc:
-            raise ValueError(f"level row {i} is not numeric: {chunk!r}") from exc
+        values = _floats(chunk, f"level row {i}")
         if values.shape[0] == 1:
             values = np.full(tree.n_nodes(i), values[0])
         if values.shape[0] != tree.n_nodes(i):
@@ -403,8 +396,15 @@ def parse_level_rows(text: str, tree: TreeSpace, levels: int) -> list[np.ndarray
     return rows
 
 
+def _floats(text: str, key: str) -> np.ndarray:
+    try:
+        return np.array([float(tok) for tok in text.split(",") if tok.strip()])
+    except ValueError as exc:
+        raise ValueError(f"{key} is not numeric: {text!r}") from exc
+
+
 def _parse_leaves(text: str, tree: TreeSpace) -> np.ndarray:
-    values = np.array([float(tok) for tok in text.split(",") if tok.strip()])
+    values = _floats(text, "terminal")
     if values.shape[0] == 1:
         values = np.full(tree.n_nodes(tree.depth), values[0])
     if values.shape[0] != tree.n_nodes(tree.depth):
@@ -447,7 +447,7 @@ def scenario_from_config(
     terminal = _parse_leaves(section["terminal"], tree)
     bound = None
     if "bound" in section:
-        bound = np.array([float(tok) for tok in section["bound"].split(",")])
+        bound = _floats(section["bound"], "bound")
     return Scenario(name, tree, terminal, gen, driver, barrier, bound=bound)
 
 

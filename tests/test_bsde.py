@@ -61,20 +61,20 @@ class TestGeneratorRegistry:
         validate_generator(make_generator(spec), rng, samples=200)
 
     def test_validation_catches_understated_constants(self, rng):
-        lying_z = GeneratorSpec("bad-z", lambda t, y, z: 2.0 * z, 0.5, 0.0)
+        lying_z = GeneratorSpec("bad-z", lambda level, y, z: 2.0 * z, 0.5, 0.0)
         with pytest.raises(ValueError, match="z-Lipschitz"):
             validate_generator(lying_z, rng)
-        lying_y = GeneratorSpec("bad-y", lambda t, y, z: 2.0 * y, 0.0, 0.0)
+        lying_y = GeneratorSpec("bad-y", lambda level, y, z: 2.0 * y, 0.0, 0.0)
         with pytest.raises(ValueError, match="monotonicity"):
             validate_generator(lying_y, rng)
 
     def test_validation_checks_a_declared_slope(self, rng):
         honest = GeneratorSpec(
-            "user-linear", lambda t, y, z: -2.0 * y, 0.0, -2.0, lambda t, y, z: -2.0
+            "user-linear", lambda level, y, z: -2.0 * y, 0.0, -2.0, lambda level, y, z: -2.0
         )
         validate_generator(honest, rng)
         cubic = make_generator("monotone_cubic:0.5")
-        lying = GeneratorSpec("bad-dy", cubic.fn, 0.0, 0.5, lambda t, y, z: 0.5 - 2.0 * y * y)
+        lying = GeneratorSpec("bad-dy", cubic.fn, 0.0, 0.5, lambda level, y, z: 0.5 - 2.0 * y * y)
         with pytest.raises(ValueError, match="y-slope"):
             validate_generator(lying, rng)
 
@@ -83,23 +83,28 @@ class TestTableGenerator:
     def test_rows_are_looked_up_by_level(self):
         tree = small_tree(2, horizon=2.0)
         gen = table_generator(tree, [np.array([1.0]), np.array([3.0, 4.0])])
-        np.testing.assert_array_equal(gen(0.0, np.zeros(1), np.zeros(1)), [1.0])
-        np.testing.assert_array_equal(gen(1.0, np.zeros(2), np.zeros(2)), [3.0, 4.0])
+        np.testing.assert_array_equal(gen(0, np.zeros(1), np.zeros(1)), [1.0])
+        np.testing.assert_array_equal(gen(1, np.zeros(2), np.zeros(2)), [3.0, 4.0])
 
     def test_scalar_rows_broadcast(self):
         tree = small_tree(3)
         gen = table_generator(tree, [np.array([2.0])] * 3)
-        assert gen(2.0 / 3.0, np.zeros(4), np.zeros(4)).shape == (4,)
+        np.testing.assert_array_equal(gen(2, np.zeros(4), np.zeros(4)), np.full(4, 2.0))
+        # a column of y values sees the level row once per y value
+        rows = table_generator(tree, [np.zeros(1), np.zeros(2), np.arange(4.0)])
+        np.testing.assert_array_equal(rows(2, np.zeros((5, 1)), np.zeros(1)), [np.arange(4.0)] * 5)
 
     def test_rejects_bad_rows_and_lookups(self):
         tree = small_tree(2)
         with pytest.raises(ValueError, match="entries"):
             table_generator(tree, [np.zeros(1), np.zeros(3)])
         gen = table_generator(tree, [np.zeros(1), np.zeros(2)])
-        with pytest.raises(ValueError, match="off-grid"):
-            gen(0.21, np.zeros(1), np.zeros(1))
-        with pytest.raises(ValueError, match="mismatched"):
-            gen(0.0, np.zeros(4), np.zeros(4))
+        with pytest.raises(ValueError):
+            gen(1, np.zeros(4), np.zeros(4))
+        out = gen(1, np.zeros(2), np.zeros(2))
+        with pytest.raises(ValueError):
+            out[0] = 1.0
+        np.testing.assert_array_equal(gen(1, np.zeros(2), np.zeros(2)), [0.0, 0.0])
 
     def test_matches_constant_generator_in_a_solve(self, rng):
         tree = small_tree(4)
@@ -182,13 +187,13 @@ class TestSolveBsde:
 class TestImplicitStep:
     def test_explicit_when_the_generator_is_flat(self):
         cond = np.array([1.0, -2.0])
-        out = implicit_interval_step(make_generator("zero"), 0.0, cond, np.zeros(2), 0.1)
+        out = implicit_interval_step(make_generator("zero"), 0, cond, np.zeros(2), 0.1)
         np.testing.assert_array_equal(out, cond)
 
     def test_floor_clips_the_update(self):
         cond = np.array([0.0, 2.0])
         out = implicit_interval_step(
-            make_generator("zero"), 0.0, cond, np.zeros(2), 0.1, floor=np.ones(2)
+            make_generator("zero"), 0, cond, np.zeros(2), 0.1, floor=np.ones(2)
         )
         np.testing.assert_array_equal(out, [1.0, 2.0])
 
@@ -196,7 +201,7 @@ class TestImplicitStep:
         # drift 0 under floor 1 with n*dt = 1 relaxes to the midpoint
         out = implicit_interval_step(
             make_generator("zero"),
-            0.0,
+            0,
             np.zeros(1),
             np.zeros(1),
             1.0,
@@ -208,7 +213,7 @@ class TestImplicitStep:
     def test_penalty_inactive_above_the_floor(self):
         out = implicit_interval_step(
             make_generator("zero"),
-            0.0,
+            0,
             np.full(1, 2.0),
             np.zeros(1),
             1.0,
@@ -220,44 +225,44 @@ class TestImplicitStep:
     def test_implicit_linear_fixed_point(self):
         # y = 2 - y*dt has the closed form 2/(1+dt)
         out = implicit_interval_step(
-            make_generator("linear:-1.0,0.0"), 0.0, np.full(3, 2.0), np.zeros(3), 0.25
+            make_generator("linear:-1.0,0.0"), 0, np.full(3, 2.0), np.zeros(3), 0.25
         )
         np.testing.assert_allclose(out, np.full(3, 1.6), atol=1e-14)
 
     def test_bisection_handles_a_steep_cubic(self):
         gen = make_generator("monotone_cubic:0.0")
         cond = np.array([40.0])
-        out = implicit_interval_step(gen, 0.0, cond, np.zeros(1), 0.5)
+        out = implicit_interval_step(gen, 0, cond, np.zeros(1), 0.5)
         residual = out - (cond - out**3 * 0.5)
         assert abs(float(residual[0])) <= 1e-12
 
     def test_unsolvable_slope_raises(self):
         gen = make_generator("linear:12.0,0.0")
         with pytest.raises(SolverError, match="not solvable"):
-            implicit_interval_step(gen, 0.0, np.ones(1), np.zeros(1), 0.1)
+            implicit_interval_step(gen, 0, np.ones(1), np.zeros(1), 0.1)
 
     def test_nan_input_raises(self):
         gen = make_generator("monotone_cubic:0.0")
         with pytest.raises(SolverError, match="failed to converge"):
-            implicit_interval_step(gen, 0.0, np.array([40.0, np.nan]), np.zeros(2), 0.5)
+            implicit_interval_step(gen, 0, np.array([40.0, np.nan]), np.zeros(2), 0.5)
 
     def test_generator_without_a_root_fails_to_converge(self):
         # y = cond - sign(y)/2 has no solution for 0 < cond < 1/2
-        gen = GeneratorSpec("jump", lambda t, y, z: -np.sign(y), 0.0, 0.0)
+        gen = GeneratorSpec("jump", lambda level, y, z: -np.sign(y), 0.0, 0.0)
         with pytest.raises(SolverError, match="failed to converge"):
-            implicit_interval_step(gen, 0.0, np.array([0.001, 0.3]), np.zeros(2), 0.5)
+            implicit_interval_step(gen, 0, np.array([0.001, 0.3]), np.zeros(2), 0.5)
 
     def test_bisection_stops_once_the_bracket_is_still(self):
         cubic = make_generator("monotone_cubic:0.0")
         evaluations = 0
 
-        def counted(t, y, z):
+        def counted(level, y, z):
             nonlocal evaluations
             evaluations += 1
-            return cubic.fn(t, y, z)
+            return cubic.fn(level, y, z)
 
         gen = GeneratorSpec("counted-cubic", counted, 0.0, 0.0)
-        implicit_interval_step(gen, 0.0, np.array([40.0]), np.zeros(1), 0.5)
+        implicit_interval_step(gen, 0, np.array([40.0]), np.zeros(1), 0.5)
         # running all 130 halvings costs 137 evaluations on this input
         assert evaluations < 100
 
@@ -265,14 +270,14 @@ class TestImplicitStep:
         cubic = make_generator("monotone_cubic:0.0")
         evaluations = 0
 
-        def counted(t, y, z):
+        def counted(level, y, z):
             nonlocal evaluations
             evaluations += 1
-            return cubic.fn(t, y, z)
+            return cubic.fn(level, y, z)
 
         gen = GeneratorSpec("counted-cubic", counted, 0.0, 0.0, cubic.dy)
         cond = np.array([40.0])
-        out = implicit_interval_step(gen, 0.0, cond, np.zeros(1), 0.5)
+        out = implicit_interval_step(gen, 0, cond, np.zeros(1), 0.5)
         assert abs(float((out - (cond - out**3 * 0.5))[0])) <= 1e-12
         assert evaluations <= 15
 
@@ -281,14 +286,13 @@ class TestImplicitStep:
         cond = rng.uniform(1.0, 3.0, 256) * rng.choice([-1.0, 1.0], 256)
         z = rng.uniform(-1.0, 1.0, 256)
         dt = 0.25
-        out = implicit_interval_step(make_generator(f"linear:{a!r},{b!r}"), 0.0, cond, z, dt)
+        out = implicit_interval_step(make_generator(f"linear:{a!r},{b!r}"), 0, cond, z, dt)
         np.testing.assert_array_max_ulp(out, (cond + b * z * dt) / (1.0 - a * dt), maxulp=2)
 
     @pytest.mark.parametrize("spec", ["zero", "constant:-0.7", "table"])
     @pytest.mark.parametrize("form", ["plain", "floor", 1.0, 64.0, 4096.0])
     def test_flat_generators_land_on_the_update_bit_for_bit(self, rng, spec, form):
         tree = small_tree(7)
-        t = tree.time(6)
         cond = rng.standard_normal(64)
         cond[::3] = -0.0
         if spec == "table":
@@ -298,14 +302,14 @@ class TestImplicitStep:
         kwargs = {} if form == "plain" else {"floor": rng.standard_normal(64)}
         if form not in ("plain", "floor"):
             kwargs["penalty"] = form
-        out = implicit_interval_step(gen, t, cond, np.zeros(64), tree.dt, **kwargs)
-        expected = steep_update(gen, cond, tree.dt, t=t, **kwargs)(cond)
+        out = implicit_interval_step(gen, 6, cond, np.zeros(64), tree.dt, **kwargs)
+        expected = steep_update(gen, cond, tree.dt, level=6, **kwargs)(cond)
         assert out.tobytes() == expected.tobytes()
 
     def test_a_wrong_slope_still_reaches_the_root_through_bisection(self, monkeypatch):
         cubic = make_generator("monotone_cubic:0.0")
         # a slope this steep stalls every Newton step at its start
-        gen = GeneratorSpec("wrong-slope", cubic.fn, 0.0, 0.0, lambda t, y, z: -1e300)
+        gen = GeneratorSpec("wrong-slope", cubic.fn, 0.0, 0.0, lambda level, y, z: -1e300)
         calls = []
         bisect = bsde._bisect_step
 
@@ -315,7 +319,7 @@ class TestImplicitStep:
 
         monkeypatch.setattr(bsde, "_bisect_step", spy)
         cond = np.array([40.0, -3.0, 0.5])
-        out = implicit_interval_step(gen, 0.0, cond, np.zeros(3), 0.5)
+        out = implicit_interval_step(gen, 0, cond, np.zeros(3), 0.5)
         assert len(calls) == 1
         residual = out - (cond - out * out * out * 0.5)
         assert float(np.max(np.abs(residual))) <= bsde.FIXED_POINT_TOL * 40.0
@@ -335,11 +339,11 @@ def full_bisection(update, gen, start, dt):
     return 0.5 * (lo + hi)
 
 
-def steep_update(gen, cond, dt, floor=None, penalty=0.0, t=0.0):
+def steep_update(gen, cond, dt, floor=None, penalty=0.0, level=0):
     """The full update y -> cond + f dt (clipped or penalized) that the step bisects."""
 
     def update(values):
-        drift = cond + gen(t, values, np.zeros_like(cond)) * dt
+        drift = cond + gen(level, values, np.zeros_like(cond)) * dt
         if penalty > 0.0:
             relaxed = (drift + penalty * dt * floor) / (1.0 + penalty * dt)
             return np.where(drift >= floor, drift, relaxed)
@@ -358,7 +362,8 @@ def bisect_with_reference(gen, cond, dt, **kwargs):
     if floor is not None:
         bound.append(float(np.max(np.abs(floor))))
     scale = max(bound)
-    y = bsde._bisect_step(update, gen, cond, dt, 0.0, scale)
+    slope = 1.0 - max(0.0, gen.monotone_y) * dt
+    y = bsde._bisect_step(update, cond, slope, 0, scale)
     return y, full_bisection(update, gen, cond, dt)
 
 
@@ -417,7 +422,7 @@ class TestExponentialTransform:
             )
         y = rng.standard_normal(4)
         z = rng.standard_normal(4)
-        np.testing.assert_allclose(result.gen(0.5, y, z), gen(0.5, y, z), atol=1e-15)
+        np.testing.assert_allclose(result.gen(1, y, z), gen(1, y, z), atol=1e-15)
 
     def test_zero_generator_maps_to_linear_decay(self, rng):
         tree = small_tree(2, horizon=2.0)
@@ -427,8 +432,8 @@ class TestExponentialTransform:
         np.testing.assert_allclose(result.terminal, np.exp(2.0) * terminal, atol=1e-14)
         y = rng.standard_normal(3)
         z = rng.standard_normal(3)
-        for t in (0.0, 1.0, 2.0):
-            np.testing.assert_allclose(result.gen(t, y, z), -y, atol=1e-14)
+        for level in range(3):
+            np.testing.assert_allclose(result.gen(level, y, z), -y, atol=1e-14)
         assert result.gen.monotone_y == -1.0
         assert result.gen.lipschitz_z == 0.0
 
@@ -458,9 +463,9 @@ class TestExponentialTransform:
         y = rng.uniform(-2.0, 2.0, 8)
         z = rng.uniform(-1.0, 1.0, 8)
         h = 1e-6
-        for t in (0.0, 1.0, 2.0):
-            difference = (gen(t, y + h, z) - gen(t, y - h, z)) / (2.0 * h)
-            slope = np.broadcast_to(gen.dy(t, y, z), y.shape)
+        for level in range(3):
+            difference = (gen(level, y + h, z) - gen(level, y - h, z)) / (2.0 * h)
+            slope = np.broadcast_to(gen.dy(level, y, z), y.shape)
             np.testing.assert_allclose(slope, difference, rtol=1e-6, atol=1e-6)
 
     def test_driver_jumps_scale_at_their_own_instants(self, rng):

@@ -509,6 +509,49 @@ class TestConfiguredScenarios:
         assert f"scenario section needs {key}" in capsys.readouterr().err
 
 
+    @pytest.mark.parametrize(
+        "spec, problem",
+        [
+            ("constant:nan", "non-finite"),
+            ("linear:nan,0", "non-finite"),
+            ("linear:0.5,nan", "non-finite"),
+            ("monotone_cubic:inf", "non-finite"),
+            ("linear:0.5,x", "non-numeric"),
+        ],
+    )
+    def test_a_bad_generator_coefficient_is_rejected_by_name(self, tmp_path, capsys, spec, problem):
+        text = CONFIGURED_WITH_DRIVER.replace("linear:-0.5,0.2", spec)
+        config = write_config(tmp_path, text)
+        out = tmp_path / "o"
+        assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"generator {spec!r} has a {problem} coefficient" in err
+        assert "implicit step" not in err
+
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("barrier_point", "0 ; 0.1, x ; 0", "level row 1 is not numeric: '0.1, x'"),
+            ("barrier_point", "0 ; 0.1, 0, 0 ; 0", "level row 1 needs 1 or 2 entries, got 3"),
+            # a one-value terminal reaches every leaf, here below the barrier
+            ("terminal", "-5", "terminal payoff fails to dominate the barrier"),
+            ("terminal", "0.5, 1.0", "terminal needs 1 or 4 entries, got 2"),
+            ("terminal", "0.5, x", "terminal is not numeric: '0.5, x'"),
+            ("bound", "-5, x", "bound is not numeric: '-5, x'"),
+            ("kind", "simulate", "unknown kind 'simulate'"),
+        ],
+    )
+    def test_a_malformed_config_value_is_a_usage_error(self, tmp_path, capsys, key, value, message):
+        lines = CONFIGURED_WITH_DRIVER.splitlines()
+        if any(line.startswith(f"{key} =") for line in lines):
+            lines = [f"{key} = {value}" if line.startswith(f"{key} =") else line for line in lines]
+        else:
+            lines.append(f"{key} = {value}")
+        config = write_config(tmp_path, "\n".join(lines) + "\n")
+        assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        assert message in capsys.readouterr().err
+
+
 README_CONFIGS = re.findall(
     r"```ini\n(.*?)```", (Path(__file__).resolve().parents[1] / "README.md").read_text(), re.S
 )

@@ -1,27 +1,6 @@
-import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from rbsdelab.grid_path import (
-    EQUALITY_TOL,
-    TimeGrid,
-    decompose,
-    increments_dominated,
-    jump_stats,
-    make_regulated_path,
-    parse_path,
-    serialize_path,
-    total_variation,
-)
-
-finite = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-
-
-def path_strategy(steps):
-    return st.tuples(
-        st.lists(finite, min_size=steps + 1, max_size=steps + 1),
-        st.lists(finite, min_size=steps, max_size=steps),
-    ).map(lambda pr: make_regulated_path(TimeGrid(1.0, steps), pr[0], pr[1]))
+from rbsdelab.grid_path import TimeGrid
 
 
 class TestTimeGrid:
@@ -36,151 +15,3 @@ class TestTimeGrid:
     def test_rejects_degenerate_grids(self, horizon, steps):
         with pytest.raises(ValueError):
             TimeGrid(horizon, steps)
-
-
-class TestConstruction:
-    def test_constant_path_has_no_jumps(self):
-        path = make_regulated_path(TimeGrid(1.0, 2), [1.0, 1.0, 1.0], [1.0, 1.0])
-        assert np.all(path.delta_plus() == 0.0)
-        assert np.all(path.delta_minus() == 0.0)
-        assert total_variation(path) == 0.0
-
-    def test_two_point_jump_split(self):
-        # One right jump of 2 at t_0, then a left jump of 1 into t_1.
-        path = make_regulated_path(TimeGrid(1.0, 1), [0.0, 3.0], [2.0])
-        assert path.delta_plus()[0] == 2.0
-        assert path.delta_minus()[1] == 1.0
-        assert path.delta_plus()[-1] == 0.0
-        assert path.delta_minus()[0] == 0.0
-
-    def test_single_left_jump_at_horizon(self):
-        path = make_regulated_path(TimeGrid(1.0, 2), [0.0, 0.0, 5.0], [0.0, 0.0])
-        assert np.all(path.delta_plus() == 0.0)
-        assert list(path.delta_minus()) == [0.0, 0.0, 5.0]
-
-    def test_length_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="length"):
-            make_regulated_path(TimeGrid(1.0, 2), [0.0, 1.0], [0.0, 0.0])
-        with pytest.raises(ValueError, match="length"):
-            make_regulated_path(TimeGrid(1.0, 2), [0.0, 1.0, 2.0], [0.0])
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
-            make_regulated_path(TimeGrid(1.0, 1), [0.0, np.inf], [0.0])
-        with pytest.raises(ValueError, match="finite"):
-            make_regulated_path(TimeGrid(1.0, 1), [0.0, 1.0], [np.nan])
-
-
-class TestJumpStats:
-    def test_constant_path(self):
-        path = make_regulated_path(TimeGrid(1.0, 2), [3.0, 3.0, 3.0], [3.0, 3.0])
-        stats = jump_stats(path)
-        assert all(s.delta_plus == 0.0 and s.delta_minus == 0.0 for s in stats.values())
-
-    def test_left_upper_limit_is_previous_right_value(self):
-        path = make_regulated_path(TimeGrid(1.0, 1), [0.0, 3.0], [2.0])
-        stats = jump_stats(path)
-        assert stats[1].left_upper_limit == 2.0
-        assert stats[0].left_upper_limit is None
-
-    def test_initial_right_jump_only(self):
-        path = make_regulated_path(TimeGrid(1.0, 2), [5.0, 0.0, 0.0], [0.0, 0.0])
-        stats = jump_stats(path)
-        assert stats[0].delta_plus == -5.0
-        assert stats[1].delta_plus == 0.0
-        assert stats[1].delta_minus == 0.0
-        assert stats[2].delta_minus == 0.0
-
-
-class TestDecompose:
-    def test_cadlag_input_has_zero_right_jump_part(self):
-        points = [1.0, 4.0, 2.0]
-        path = make_regulated_path(TimeGrid(1.0, 2), points, points[:-1])
-        cadlag, jumps = decompose(path)
-        assert np.all(jumps.point_values == 0.0)
-        assert np.all(jumps.right_values == 0.0)
-        assert np.all(cadlag.point_values == path.point_values)
-
-    def test_two_point_split_values(self):
-        path = make_regulated_path(TimeGrid(1.0, 1), [0.0, 3.0], [2.0])
-        cadlag, jumps = decompose(path)
-        assert list(jumps.point_values) == [0.0, 2.0]
-        assert list(cadlag.point_values) == [0.0, 1.0]
-
-    @given(path_strategy(8))
-    def test_reconstruction_within_documented_equality(self, path):
-        cadlag, jumps = decompose(path)
-        tol = EQUALITY_TOL * path.scale()
-        assert np.max(np.abs(cadlag.point_values + jumps.point_values - path.point_values)) <= tol
-        assert np.max(np.abs(cadlag.right_values + jumps.right_values - path.right_values)) <= tol
-        assert np.max(np.abs(cadlag.delta_plus())) <= tol
-
-    def test_reconstruction_bit_exact_on_representable_values(self):
-        points = [0.0, 3.0, -1.5, 2.25, 2.25]
-        rights = [1.0, -1.5, 0.25, 2.25]
-        path = make_regulated_path(TimeGrid(1.0, 4), points, rights)
-        cadlag, jumps = decompose(path)
-        assert np.all(cadlag.point_values + jumps.point_values == path.point_values)
-        assert np.all(cadlag.right_values + jumps.right_values == path.right_values)
-        assert np.all(cadlag.delta_plus() == 0.0)
-        assert np.all(jumps.delta_minus() == 0.0)
-
-    @given(path_strategy(8))
-    def test_right_jump_part_matches_direct_summation(self, path):
-        _, jumps = decompose(path)
-        dplus = path.delta_plus()
-        for i in range(path.grid.steps + 1):
-            direct = float(np.sum(dplus[:i]))
-            assert jumps.point_values[i] == pytest.approx(direct, rel=1e-12, abs=1e-7)
-
-
-class TestTotalVariation:
-    def test_two_point_example(self):
-        path = make_regulated_path(TimeGrid(1.0, 1), [0.0, 3.0], [2.0])
-        assert total_variation(path) == 3.0
-
-    def test_monotone_path_telescopes(self):
-        points = [0.0, 1.0, 2.5, 4.0]
-        rights = [0.5, 1.5, 3.0]
-        path = make_regulated_path(TimeGrid(1.0, 3), points, rights)
-        assert total_variation(path) == pytest.approx(4.0, abs=1e-15)
-
-    @given(path_strategy(6), st.floats(min_value=-8, max_value=8, allow_nan=False))
-    def test_absolute_homogeneity(self, path, a):
-        scaled = make_regulated_path(
-            path.grid, a * path.point_values, a * path.right_values
-        )
-        assert total_variation(scaled) == pytest.approx(
-            abs(a) * total_variation(path), rel=1e-12, abs=1e-9
-        )
-
-
-class TestIncrementOrdering:
-    def test_componentwise_domination(self):
-        grid = TimeGrid(1.0, 2)
-        lower = make_regulated_path(grid, [0.0, 0.0, 0.0], [0.0, 0.0])
-        upper = make_regulated_path(grid, [0.0, 0.5, 1.5], [0.2, 0.9])
-        assert increments_dominated(lower, upper)
-        assert not increments_dominated(upper, lower)
-
-    def test_grid_mismatch_rejected(self):
-        a = make_regulated_path(TimeGrid(1.0, 1), [0.0, 0.0], [0.0])
-        b = make_regulated_path(TimeGrid(1.0, 2), [0.0, 0.0, 0.0], [0.0, 0.0])
-        with pytest.raises(ValueError, match="grids"):
-            increments_dominated(a, b)
-
-
-class TestSerialization:
-    @given(path_strategy(5))
-    def test_round_trip_is_bit_exact(self, path):
-        text = serialize_path(path)
-        back = parse_path(path.grid, text)
-        assert np.all(back.point_values == path.point_values)
-        assert np.all(back.right_values == path.right_values)
-
-    def test_malformed_text_rejected(self):
-        grid = TimeGrid(1.0, 1)
-        with pytest.raises(ValueError, match="two numeric rows"):
-            parse_path(grid, "1.0,2.0\n")
-        with pytest.raises(ValueError):
-            parse_path(grid, "1.0\n2.0\n")

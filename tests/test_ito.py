@@ -249,6 +249,12 @@ class TestPowerJumpTerms:
         np.testing.assert_array_equal(jminus, np.zeros(16))
         np.testing.assert_array_equal(jplus, np.zeros(16))
 
+    @pytest.mark.parametrize("p", [0.5, 2.5, float("nan")])
+    def test_rejects_a_power_outside_one_to_two(self, p, rng):
+        path = random_path(grid(4), 2, rng)
+        with pytest.raises(ValueError, match=r"power must lie in \[1, 2\]"):
+            power_jump_terms(path, p)
+
 
 class TestJumpTermBounds:
     @pytest.mark.parametrize("name", ["quadratic", "cubic", "sin_sum"])

@@ -125,6 +125,12 @@ class TestSolvePenalized:
         with pytest.raises(ValueError, match="unknown penalization scheme"):
             solve_penalized(terminal, gen, driver, barrier, 1, scheme="implicit")
 
+    def test_rejects_mismatched_trees(self):
+        _, barrier, terminal, gen, _ = spike_setup()
+        driver = AdaptedRegulatedProcess.zeros(small_tree(1))
+        with pytest.raises(ValueError, match="different trees"):
+            solve_penalized(terminal, gen, driver, barrier, 1)
+
 
 class TestStepOneBarrier:
     def test_penalized_solution_solves_its_own_stepped_problem(self, rng):

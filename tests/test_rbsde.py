@@ -219,6 +219,12 @@ class TestReduction:
                 sc.terminal, sc.gen, sc.driver, sc.barrier, bound=np.full(3, 1.0)
             )
 
+    def test_rejects_mismatched_trees(self):
+        barrier = AdaptedRegulatedProcess.zeros(small_tree(2))
+        driver = AdaptedRegulatedProcess.zeros(small_tree(2))
+        with pytest.raises(ValueError, match="different trees"):
+            solve_via_reduction(np.zeros(4), make_generator("zero"), driver, barrier)
+
 
 class TestComparison:
     def test_identical_problems_compare_equal(self, rng):

@@ -52,7 +52,7 @@ def reference_plain(terminal, gen, driver):
         w = point[i + 1] + driver.delta_minus(i + 1)
         cond = w.reshape(-1, 2).mean(axis=1)
         z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
-        y = implicit_interval_step(gen, tree.time(i), cond, z, tree.dt)
+        y = implicit_interval_step(gen, i, cond, z, tree.dt)
         integrand[i] = z
         right[i] = y
         point[i] = y + driver.delta_plus(i)
@@ -95,9 +95,8 @@ def reference_reflected(terminal, gen, driver, interval_floor, left_floor, point
         w = point[i + 1] + driver.delta_minus(i + 1)
         cond = w.reshape(-1, 2).mean(axis=1)
         z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
-        t = tree.time(i)
-        y = implicit_interval_step(gen, t, cond, z, dt, floor=interval_floor[i])
-        total = np.maximum(y - cond - gen(t, y, z) * dt, 0.0)
+        y = implicit_interval_step(gen, i, cond, z, dt, floor=interval_floor[i])
+        total = np.maximum(y - cond - gen(i, y, z) * dt, 0.0)
         left = np.minimum(np.maximum(left_floor[i] - cond, 0.0), total)
         k_left[i + 1] = np.repeat(left, 2)
         k_interval[i] = total - left
@@ -123,9 +122,8 @@ def reference_penalized(terminal, gen, driver, barrier, n, scheme):
         w = point[i + 1] + driver.delta_minus(i + 1)
         cond = w.reshape(-1, 2).mean(axis=1)
         z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
-        t = tree.time(i)
-        y = implicit_interval_step(gen, t, cond, z, tree.dt, floor=barrier.right[i], penalty=float(n))
-        k_interval[i] = np.maximum(y - cond - np.asarray(gen(t, y, z), dtype=float) * tree.dt, 0.0)
+        y = implicit_interval_step(gen, i, cond, z, tree.dt, floor=barrier.right[i], penalty=float(n))
+        k_interval[i] = np.maximum(y - cond - gen(i, y, z) * tree.dt, 0.0)
         integrand[i] = z
         right[i] = y
         up = y + driver.delta_plus(i)

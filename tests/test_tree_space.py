@@ -147,6 +147,11 @@ class TestMartingaleRepresentation:
             with pytest.raises(ValueError, match="child level"):
                 martingale_representation(tree, np.zeros(size))
 
+    def test_rejects_a_parent_of_the_wrong_size(self):
+        tree = small_tree(2)
+        with pytest.raises(ValueError, match="parent level does not match"):
+            martingale_representation(tree, np.zeros(4), np.zeros(4))
+
     def test_parent_check_optional(self):
         tree = small_tree(1)
         z = martingale_representation(tree, np.array([2.0, 0.0]))
