@@ -3,7 +3,8 @@
 The interval step is implicit in y: each level i solves the scalar equation
 y = E + f(i, y, z) dt per node, whose residual is strictly increasing when
 the generator's one-sided y-slope times the step stays below one, by Newton
-steps on the generator's declared y-slope inside a bisection bracket.  Left
+steps on the generator's declared y-slope inside a bisection bracket, or in
+closed form for a generator declared affine in y.  Left
 jumps of the driver are folded into the conditional-expectation input, right
 jumps are added back at the point, and the integrand Z comes from the exact
 one-step martingale representation.  :func:`backward_sweep` optionally
@@ -56,7 +57,10 @@ class GeneratorSpec:
     partial derivative of f in y at (i, y, z), as an array of y's shape or a
     scalar; the implicit step takes Newton steps on it.  ``None`` means the
     step treats the slope as zero, which makes each of its steps a
-    fixed-point step: exact for drivers that ignore y.
+    fixed-point step: exact for drivers that ignore y.  ``affine`` declares
+    f(i, y, z) = f(i, 0, z) + dy(i, z) y, so that ``dy`` does not depend on
+    y, and f does not depend on y at all when ``dy`` is ``None``; the
+    implicit step then evaluates f once and takes its root in closed form.
     """
 
     name: str
@@ -64,6 +68,7 @@ class GeneratorSpec:
     lipschitz_z: float
     monotone_y: float
     dy: Callable[[int, np.ndarray, np.ndarray], np.ndarray | float] | None = None
+    affine: bool = False
 
     def __call__(self, level: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(level, y, z), dtype=float)
@@ -84,19 +89,20 @@ def make_generator(spec: str) -> GeneratorSpec:
     Supported names: ``zero``, ``constant:<c>``, ``linear:<a>,<b>`` meaning
     f = a*y + b*z, and ``monotone_cubic:<mu>`` meaning f = -y**3 + mu*y,
     evaluated as -(y*y*y) + mu*y.  The linear and cubic ones declare their
-    y-slope.  Every coefficient must be a finite number.  Node-dependent
-    tables are built with :func:`table_generator` instead.
+    y-slope, and all but the cubic are declared affine.  Every coefficient
+    must be a finite number.  Node-dependent tables are built with
+    :func:`table_generator` instead.
     """
     name = spec.strip()
     if name == "zero":
-        return GeneratorSpec("zero", lambda level, y, z: np.zeros_like(y), 0.0, 0.0)
+        return GeneratorSpec("zero", lambda level, y, z: np.zeros_like(y), 0.0, 0.0, affine=True)
     if name.startswith("constant:"):
         (c,) = _coefficients(name, 1)
-        return GeneratorSpec(name, lambda level, y, z: np.full_like(y, c), 0.0, 0.0)
+        return GeneratorSpec(name, lambda level, y, z: np.full_like(y, c), 0.0, 0.0, affine=True)
     if name.startswith("linear:"):
         a, b = _coefficients(name, 2)
         return GeneratorSpec(
-            name, lambda level, y, z: a * y + b * z, abs(b), a, lambda level, y, z: a
+            name, lambda level, y, z: a * y + b * z, abs(b), a, lambda level, y, z: a, affine=True
         )
     if name.startswith("monotone_cubic:"):
         (mu,) = _coefficients(name, 1)
@@ -131,7 +137,8 @@ def table_generator(
     ``rows[i]`` holds the value of f on (t_i, t_{i+1}) at each node of level
     i, or one value for the whole level.  Evaluation at level i returns that
     row broadcast against y, as a read-only view; the values of y and z are
-    ignored, so both regularity constants are zero.
+    ignored, so both regularity constants are zero and the driver is
+    declared affine (flat).
     """
     frozen = []
     for i in range(tree.depth):
@@ -144,7 +151,7 @@ def table_generator(
         row = frozen[level]
         return np.broadcast_to(row, np.broadcast_shapes(row.shape, np.shape(y)))
 
-    return GeneratorSpec(name, fn, 0.0, 0.0)
+    return GeneratorSpec(name, fn, 0.0, 0.0, affine=True)
 
 
 def validate_generator(
@@ -161,30 +168,33 @@ def validate_generator(
     ------
     ValueError
         If a sampled pair violates the z-Lipschitz bound or the one-sided
-        y-monotonicity bound beyond ``tol``, or a declared y-slope differs
-        from a central difference of ``fn``.
+        y-monotonicity bound beyond ``tol``, a declared y-slope differs
+        from a central difference of ``fn``, or an affine declaration fails:
+        a flat driver's value or an affine driver's y-slope moves with y.
     """
+
+    def at(fn, level: int, y: float, z: float) -> float:
+        return float(np.broadcast_to(fn(level, np.array([y]), np.array([z])), (1,))[0])
+
     for _ in range(samples):
         level = int(rng.choice(levels))
         y, y2, z, z2 = rng.uniform(-box, box, size=4)
-        y_arr = np.array([y])
-        fz = float(gen(level, y_arr, np.array([z]))[0])
-        fz2 = float(gen(level, y_arr, np.array([z2]))[0])
-        if abs(fz - fz2) > gen.lipschitz_z * abs(z - z2) + tol:
+        fy, fy2 = at(gen, level, y, z), at(gen, level, y2, z)
+        if abs(fy - at(gen, level, y, z2)) > gen.lipschitz_z * abs(z - z2) + tol:
             raise ValueError(f"generator {gen.name} violates its z-Lipschitz constant")
-        fy = float(gen(level, np.array([y]), np.array([z]))[0])
-        fy2 = float(gen(level, np.array([y2]), np.array([z]))[0])
         if (y - y2) * (fy - fy2) > gen.monotone_y * (y - y2) ** 2 + tol:
             raise ValueError(f"generator {gen.name} violates its y-monotonicity constant")
+        if gen.affine and gen.dy is None and abs(fy - fy2) > tol:
+            raise ValueError(f"generator {gen.name} is declared flat but depends on y")
         if gen.dy is not None:
             # the difference's own error is far below this tolerance on the box
             h = 1e-6 * (1.0 + abs(y))
-            up = float(gen(level, np.array([y + h]), np.array([z]))[0])
-            down = float(gen(level, np.array([y - h]), np.array([z]))[0])
-            difference = (up - down) / (2.0 * h)
-            declared = float(np.broadcast_to(gen.dy(level, y_arr, np.array([z])), (1,))[0])
+            difference = (at(gen, level, y + h, z) - at(gen, level, y - h, z)) / (2.0 * h)
+            declared = at(gen.dy, level, y, z)
             if abs(declared - difference) > 1e-6 * (1.0 + abs(difference)) + tol:
                 raise ValueError(f"generator {gen.name} declares a wrong y-slope")
+            if gen.affine and abs(declared - at(gen.dy, level, y2, z)) > tol:
+                raise ValueError(f"generator {gen.name} is declared affine but its y-slope moves")
 
 
 def check_contraction(gen: GeneratorSpec, tree: TreeSpace) -> None:
@@ -207,7 +217,7 @@ def implicit_interval_step(
     dt: float,
     floor: np.ndarray | None = None,
     penalty: float = 0.0,
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray | float]:
     """Solve y = cond + f(level, y, z) dt (+ reflection or penalty) per node.
 
     The residual y - cond - f(level, y, z) dt is strictly increasing, with slope
@@ -217,13 +227,20 @@ def implicit_interval_step(
     solution max(cond + f dt, floor) is that root clipped to the floor.  With
     a positive ``penalty`` n, the nodes whose root lies below the floor take
     the root of the smooth penalized equation
-    (1 + n dt) y = cond + f dt + n dt floor instead.  If the result misses
-    the residual tolerance, bisection on the full update is the last resort.
-    It stops at the first round that leaves the bracket unchanged at every
-    node: a round is a pure function of the bracket, so every later round
-    would repeat it and the result is bit-identical to running all 130
-    halvings.  With ``gen=None``, meaning f = 0, the update of ``cond`` is the
+    (1 + n dt) y = cond + f dt + n dt floor instead.  A generator declared
+    ``affine`` is evaluated once, at ``cond``, and both roots are taken in
+    closed form: the update itself where the slope is zero, which is where
+    the Newton steps end for a flat generator, bit for bit.  If the result
+    misses the residual tolerance, bisection on the full update is the last
+    resort.  With ``gen=None``, meaning f = 0, the update of ``cond`` is the
     root, bit for bit the zero generator's (cond + 0.0 turns -0.0 into +0.0).
+
+    Returns
+    -------
+    y, f
+        The root and f(level, y, z) evaluated there by the residual check,
+        so the caller need not evaluate the generator again; f is the
+        scalar 0.0 for ``gen=None``.
 
     Raises
     ------
@@ -235,7 +252,7 @@ def implicit_interval_step(
     n_dt = penalty * dt
 
     def drift(values: np.ndarray) -> np.ndarray:
-        return cond + (0.0 if gen is None else gen(level, values, z) * dt)
+        return cond + gen(level, values, z) * dt
 
     def drift_slope(values: np.ndarray):
         return 0.0 if gen.dy is None else gen.dy(level, values, z) * dt
@@ -243,34 +260,72 @@ def implicit_interval_step(
     def relax(values: np.ndarray) -> np.ndarray:
         return (values + n_dt * floor) / (1.0 + n_dt)
 
-    def update(values: np.ndarray) -> np.ndarray:
-        d = drift(values)
+    # project may overwrite d, and residual_at works in place: with f kept
+    # for the caller, fewer temporaries keep a deep sweep's peak memory down
+    def project(d: np.ndarray) -> np.ndarray:
         if penalty > 0.0:
             assert floor is not None
             return np.where(d >= floor, d, relax(d))
-        return d if floor is None else np.maximum(d, floor)
+        return d if floor is None else np.maximum(d, floor, out=d)
+
+    def residual_at(values: np.ndarray) -> tuple[np.ndarray, float]:
+        f = gen(level, values, z)
+        gap = np.multiply(f, dt, out=np.empty_like(values))
+        gap += cond
+        gap = project(gap)
+        np.subtract(values, gap, out=gap)
+        return f, float(np.abs(gap, out=gap).max())
 
     if gen is None:
-        return update(cond)
+        return project(cond + 0.0), 0.0
     slope = 1.0 - max(0.0, gen.monotone_y) * dt
     if slope <= 0.0:
         raise SolverError(f"implicit step not solvable at level {level}: monotone_y*dt >= 1")
-    scale = max(1.0, float(np.max(np.abs(cond))), float(np.max(np.abs(floor))) if floor is not None else 0.0)
+    scale = max(1.0, float(np.abs(cond).max()))
+    if floor is not None:
+        scale = max(scale, float(np.abs(floor).max()))
     # a steep generator overflows far outside the bracket, where the candidate
-    # is replaced by the midpoint, so overflow must not warn
-    with np.errstate(over="ignore", invalid="ignore"):
-        y = _newton_root(drift, drift_slope, cond, slope)
+    # is replaced by the midpoint, so overflow must not warn; a slope declared
+    # wrongly may divide by zero, which the residual check then rejects
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if gen.affine:
+            y, relaxed = _affine_roots(drift(cond), drift_slope(cond), cond, floor, n_dt)
+        else:
+            y = _newton_root(drift, drift_slope, cond, slope)
+            if penalty > 0.0:
+                relaxed = _newton_root(
+                    lambda v: relax(drift(v)), lambda v: drift_slope(v) / (1.0 + n_dt), y, slope
+                )
         if penalty > 0.0:
-            relaxed = _newton_root(
-                lambda v: relax(drift(v)), lambda v: drift_slope(v) / (1.0 + n_dt), y, slope
-            )
             y = np.where(y < floor, relaxed, y)
         elif floor is not None:
             y = np.maximum(y, floor)
-        err = float(np.max(np.abs(y - update(y))))
+        f, err = residual_at(y)
     if not err <= FIXED_POINT_TOL * scale:
-        return _bisect_step(update, cond, slope, level, scale)
-    return y
+        y = _bisect_step(lambda v: project(drift(v)), cond, slope)
+        f, err = residual_at(y)
+        if not err <= FIXED_POINT_TOL * scale:
+            raise SolverError(
+                f"implicit step failed to converge at level {level} (residual {err:.3e})"
+            )
+    return y, f
+
+
+def _affine_roots(u: np.ndarray, du, start: np.ndarray, floor: np.ndarray | None, n_dt: float):
+    """Closed-form roots for the update u + du (y - start), plain and penalized.
+
+    The root of y = u + du (y - start) is one Newton step from ``start``.
+    For ``n_dt`` > 0, (1 + n_dt) y = u + du (y - start) + n_dt floor is
+    solved directly: a Newton step from the first root loses the digits of
+    a root much smaller than ``start``.  Where du is zero both come from u,
+    as the Newton steps of :func:`_newton_root` do for a flat update.
+    """
+    flat = du == 0.0
+    y = np.where(flat, u, start - (start - u) / (1.0 - du))
+    if n_dt == 0.0:
+        return y, None
+    exact = (u - du * start + n_dt * floor) / (1.0 + n_dt - du)
+    return y, np.where(flat, (u + n_dt * floor) / (1.0 + n_dt), exact)
 
 
 def _newton_root(update, update_slope, start: np.ndarray, slope: float) -> np.ndarray:
@@ -299,16 +354,24 @@ def _newton_root(update, update_slope, start: np.ndarray, slope: float) -> np.nd
         du = update_slope(y)
         candidate = np.subtract(y, np.divide(residual, 1.0 - du, out=residual), out=residual)
         np.copyto(candidate, u, where=du == 0.0)
-        np.copyto(candidate, 0.5 * (lo + hi), where=~((lo <= candidate) & (candidate <= hi)))
-        if np.all((candidate == y) | (candidate == prev)):
+        inside = (lo <= candidate) & (candidate <= hi)
+        if not inside.all():
+            np.copyto(candidate, 0.5 * (lo + hi), where=~inside)
+        if ((candidate == y) | (candidate == prev)).all():
             return candidate
         prev, y = y, candidate
         u = update(y)
     return y
 
 
-def _bisect_step(update, start: np.ndarray, slope: float, level: int, scale: float) -> np.ndarray:
-    """Root of y - update(y) per node by bisection; ``slope`` > 0 bounds the residual's slope."""
+def _bisect_step(update, start: np.ndarray, slope: float) -> np.ndarray:
+    """Root of y - update(y) per node by bisection; ``slope`` > 0 bounds the residual's slope.
+
+    It stops at the first round that leaves the bracket unchanged at every
+    node: a round is a pure function of the bracket, so every later round
+    would repeat it and the result is bit-identical to running all 130
+    halvings.
+    """
     residual0 = start - update(start)
     width = np.abs(residual0) / slope + 1.0
     lo = start - width
@@ -321,11 +384,7 @@ def _bisect_step(update, start: np.ndarray, slope: float, level: int, scale: flo
         if np.array_equal(lo_next, lo) and np.array_equal(hi_next, hi):
             break
         lo, hi = lo_next, hi_next
-    y = 0.5 * (lo + hi)
-    err = float(np.max(np.abs(y - update(y))))
-    if not err <= FIXED_POINT_TOL * scale:
-        raise SolverError(f"implicit step failed to converge at level {level} (residual {err:.3e})")
-    return y
+    return 0.5 * (lo + hi)
 
 
 def backward_sweep(
@@ -395,15 +454,17 @@ def backward_sweep(
         z = integrand[i]
         z[:] = martingale_representation(tree, w)
         level_floor = None if floor is None else floor[i]
-        y = implicit_interval_step(gen, i, cond, z, dt, floor=level_floor, penalty=penalty)
+        y, f = implicit_interval_step(gen, i, cond, z, dt, floor=level_floor, penalty=penalty)
         if level_floor is not None:
-            total = np.maximum(y - cond - (0.0 if gen is None else gen(i, y, z) * dt), 0.0)
+            total = np.maximum(y - cond - f * dt, 0.0)
             if penalty > 0.0:
                 k.interval[i][:] = total
             else:
                 left = np.minimum(np.maximum(level_floor - cond, 0.0), total)
                 k.left[i + 1][:] = np.repeat(left, 2)
                 np.subtract(total, left, out=k.interval[i])
+        # the next level's step is where a deep sweep peaks; f must not live through it
+        del f
         value.right[i][:] = y
         up = y + (0.0 if driver is None else driver.delta_plus(i))
         if point_floor is None:
@@ -542,13 +603,14 @@ def exponential_transform(
     """Map a problem and optionally its solution through y -> exp(a t) y.
 
     The transformed generator is exp(a t) f(i, exp(-a t) y, exp(-a t) z) - a y
-    at level i with t = ``tree.time(i)``, which keeps the z-Lipschitz constant and shifts the y-monotonicity
-    constant and the y-slope down by ``rate``.  Driver jumps scale by the
-    factor at their own instant; barrier interval values scale by the factor
-    at the interval's left end.  The components of ``solution`` are scaled
-    the same way (increments of the reflecting process by the factor at the
-    instant they charge).  The scaled candidate solves the transformed
-    problem up to a first-order defect in the step size.
+    at level i with t = ``tree.time(i)``, which keeps the z-Lipschitz constant
+    and the affine declaration and shifts the y-monotonicity constant and the
+    y-slope down by ``rate``.  Driver jumps scale by the factor at their own
+    instant; barrier interval values scale by the factor at the interval's
+    left end.  The components of ``solution`` are scaled the same way
+    (increments of the reflecting process by the factor at the instant they
+    charge).  The scaled candidate solves the transformed problem up to a
+    first-order defect in the step size.
     """
     tree = driver.tree
     a = float(rate)
@@ -574,6 +636,7 @@ def exponential_transform(
         lipschitz_z=gen.lipschitz_z,
         monotone_y=gen.monotone_y - a,
         dy=transformed_dy,
+        affine=gen.affine,
     )
     driver_t = _scale_driver(driver, a)
     barrier_t = _scale_process_by_time(barrier, a) if barrier is not None else None

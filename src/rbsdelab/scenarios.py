@@ -11,7 +11,7 @@ comparison tools require.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -142,19 +142,19 @@ def random_generator(
 
 
 def shifted_generator(gen: GeneratorSpec, shift: float) -> GeneratorSpec:
-    """The same driver raised by a constant; regularity constants and y-slope unchanged."""
+    """The same driver raised by a constant; constants, y-slope and declarations unchanged."""
     s = float(shift)
 
     def fn(level, y, z):
         return gen(level, y, z) + s
 
-    return GeneratorSpec(f"{gen.name}+{s!r}", fn, gen.lipschitz_z, gen.monotone_y, gen.dy)
+    return replace(gen, name=f"{gen.name}+{s!r}", fn=fn)
 
 
 def level_shifted_generator(
     tree: TreeSpace, gen: GeneratorSpec, deltas: np.ndarray
 ) -> GeneratorSpec:
-    """The driver plus a deterministic offset per interval level."""
+    """The driver plus a deterministic offset per interval level; declarations unchanged."""
     offs = np.asarray(deltas, dtype=float).reshape(-1)
     if offs.shape[0] != tree.depth:
         raise ValueError(f"need one offset per interval ({tree.depth}), got {offs.shape[0]}")
@@ -162,7 +162,7 @@ def level_shifted_generator(
     def fn(level, y, z):
         return gen(level, y, z) + offs[level]
 
-    return GeneratorSpec(f"{gen.name}+table", fn, gen.lipschitz_z, gen.monotone_y, gen.dy)
+    return replace(gen, name=f"{gen.name}+table", fn=fn)
 
 
 def random_scenario(
@@ -375,22 +375,23 @@ def perturbation_pair(
 # configuration files
 
 
-def parse_level_rows(text: str, tree: TreeSpace, levels: int) -> list[np.ndarray]:
+def parse_level_rows(text: str, tree: TreeSpace, levels: int, key: str) -> list[np.ndarray]:
     """Interpret ``a;b,c;...`` as one row per level, scalars broadcasting.
 
-    ``levels`` is the number of rows expected, starting at level 0.
+    ``levels`` is the number of rows expected, starting at level 0; ``key``
+    names the config key in every error.
     """
     chunks = [chunk.strip() for chunk in text.split(";")]
     if len(chunks) != levels:
-        raise ValueError(f"expected {levels} level rows separated by ';', got {len(chunks)}")
+        raise ValueError(f"{key} expects {levels} level rows separated by ';', got {len(chunks)}")
     rows = []
     for i, chunk in enumerate(chunks):
-        values = _floats(chunk, f"level row {i}")
+        values = _floats(chunk, f"{key} level row {i}")
         if values.shape[0] == 1:
             values = np.full(tree.n_nodes(i), values[0])
         if values.shape[0] != tree.n_nodes(i):
             raise ValueError(
-                f"level row {i} needs 1 or {tree.n_nodes(i)} entries, got {values.shape[0]}"
+                f"{key} level row {i} needs 1 or {tree.n_nodes(i)} entries, got {values.shape[0]}"
             )
         rows.append(values)
     return rows
@@ -424,19 +425,23 @@ def scenario_from_config(
     driver rows default to zero; missing right rows default to the point
     rows (right continuity).
     """
+
+    def level_rows(key: str, levels: int) -> list[np.ndarray]:
+        return parse_level_rows(section[key], tree, levels, key)
+
     gen = make_generator(section.get("generator", "zero"))
     if "barrier_point" not in section:
         raise ValueError("scenario section needs barrier_point")
-    bpoint = parse_level_rows(section["barrier_point"], tree, tree.depth + 1)
+    bpoint = level_rows("barrier_point", tree.depth + 1)
     if "barrier_right" in section:
-        bright = parse_level_rows(section["barrier_right"], tree, tree.depth)
+        bright = level_rows("barrier_right", tree.depth)
     else:
         bright = [row.copy() for row in bpoint[:-1]]
     barrier = AdaptedRegulatedProcess.from_levels(tree, bpoint, bright)
     if "driver_point" in section:
-        vpoint = parse_level_rows(section["driver_point"], tree, tree.depth + 1)
+        vpoint = level_rows("driver_point", tree.depth + 1)
         if "driver_right" in section:
-            vright = parse_level_rows(section["driver_right"], tree, tree.depth)
+            vright = level_rows("driver_right", tree.depth)
         else:
             vright = [row.copy() for row in vpoint[:-1]]
         driver = AdaptedRegulatedProcess.from_levels(tree, vpoint, vright)

@@ -187,19 +187,19 @@ class TestSolveBsde:
 class TestImplicitStep:
     def test_explicit_when_the_generator_is_flat(self):
         cond = np.array([1.0, -2.0])
-        out = implicit_interval_step(make_generator("zero"), 0, cond, np.zeros(2), 0.1)
+        out, _ = implicit_interval_step(make_generator("zero"), 0, cond, np.zeros(2), 0.1)
         np.testing.assert_array_equal(out, cond)
 
     def test_floor_clips_the_update(self):
         cond = np.array([0.0, 2.0])
-        out = implicit_interval_step(
+        out, _ = implicit_interval_step(
             make_generator("zero"), 0, cond, np.zeros(2), 0.1, floor=np.ones(2)
         )
         np.testing.assert_array_equal(out, [1.0, 2.0])
 
     def test_penalty_closed_form_below_the_floor(self):
         # drift 0 under floor 1 with n*dt = 1 relaxes to the midpoint
-        out = implicit_interval_step(
+        out, _ = implicit_interval_step(
             make_generator("zero"),
             0,
             np.zeros(1),
@@ -211,7 +211,7 @@ class TestImplicitStep:
         np.testing.assert_array_equal(out, [0.5])
 
     def test_penalty_inactive_above_the_floor(self):
-        out = implicit_interval_step(
+        out, _ = implicit_interval_step(
             make_generator("zero"),
             0,
             np.full(1, 2.0),
@@ -224,7 +224,7 @@ class TestImplicitStep:
 
     def test_implicit_linear_fixed_point(self):
         # y = 2 - y*dt has the closed form 2/(1+dt)
-        out = implicit_interval_step(
+        out, _ = implicit_interval_step(
             make_generator("linear:-1.0,0.0"), 0, np.full(3, 2.0), np.zeros(3), 0.25
         )
         np.testing.assert_allclose(out, np.full(3, 1.6), atol=1e-14)
@@ -232,7 +232,7 @@ class TestImplicitStep:
     def test_bisection_handles_a_steep_cubic(self):
         gen = make_generator("monotone_cubic:0.0")
         cond = np.array([40.0])
-        out = implicit_interval_step(gen, 0, cond, np.zeros(1), 0.5)
+        out, _ = implicit_interval_step(gen, 0, cond, np.zeros(1), 0.5)
         residual = out - (cond - out**3 * 0.5)
         assert abs(float(residual[0])) <= 1e-12
 
@@ -277,7 +277,7 @@ class TestImplicitStep:
 
         gen = GeneratorSpec("counted-cubic", counted, 0.0, 0.0, cubic.dy)
         cond = np.array([40.0])
-        out = implicit_interval_step(gen, 0, cond, np.zeros(1), 0.5)
+        out, _ = implicit_interval_step(gen, 0, cond, np.zeros(1), 0.5)
         assert abs(float((out - (cond - out**3 * 0.5))[0])) <= 1e-12
         assert evaluations <= 15
 
@@ -286,7 +286,7 @@ class TestImplicitStep:
         cond = rng.uniform(1.0, 3.0, 256) * rng.choice([-1.0, 1.0], 256)
         z = rng.uniform(-1.0, 1.0, 256)
         dt = 0.25
-        out = implicit_interval_step(make_generator(f"linear:{a!r},{b!r}"), 0, cond, z, dt)
+        out, _ = implicit_interval_step(make_generator(f"linear:{a!r},{b!r}"), 0, cond, z, dt)
         np.testing.assert_array_max_ulp(out, (cond + b * z * dt) / (1.0 - a * dt), maxulp=2)
 
     @pytest.mark.parametrize("spec", ["zero", "constant:-0.7", "table"])
@@ -302,7 +302,7 @@ class TestImplicitStep:
         kwargs = {} if form == "plain" else {"floor": rng.standard_normal(64)}
         if form not in ("plain", "floor"):
             kwargs["penalty"] = form
-        out = implicit_interval_step(gen, 6, cond, np.zeros(64), tree.dt, **kwargs)
+        out, _ = implicit_interval_step(gen, 6, cond, np.zeros(64), tree.dt, **kwargs)
         expected = steep_update(gen, cond, tree.dt, level=6, **kwargs)(cond)
         assert out.tobytes() == expected.tobytes()
 
@@ -319,7 +319,7 @@ class TestImplicitStep:
 
         monkeypatch.setattr(bsde, "_bisect_step", spy)
         cond = np.array([40.0, -3.0, 0.5])
-        out = implicit_interval_step(gen, 0, cond, np.zeros(3), 0.5)
+        out, _ = implicit_interval_step(gen, 0, cond, np.zeros(3), 0.5)
         assert len(calls) == 1
         residual = out - (cond - out * out * out * 0.5)
         assert float(np.max(np.abs(residual))) <= bsde.FIXED_POINT_TOL * 40.0
@@ -357,13 +357,8 @@ def steep_update(gen, cond, dt, floor=None, penalty=0.0, level=0):
 def bisect_with_reference(gen, cond, dt, **kwargs):
     """The bisection fallback on a steep update, and its reference."""
     update = steep_update(gen, cond, dt, **kwargs)
-    floor = kwargs.get("floor")
-    bound = [1.0, float(np.max(np.abs(cond)))]
-    if floor is not None:
-        bound.append(float(np.max(np.abs(floor))))
-    scale = max(bound)
     slope = 1.0 - max(0.0, gen.monotone_y) * dt
-    y = bsde._bisect_step(update, cond, slope, 0, scale)
+    y = bsde._bisect_step(update, cond, slope)
     return y, full_bisection(update, gen, cond, dt)
 
 

@@ -423,6 +423,32 @@ class TestCompareVerb:
         assert equal["kind"] == "equal-barrier"
         assert equal["status"] == "pass"
 
+    def test_a_solver_error_names_its_pair_and_exits_two(self, tmp_path, monkeypatch, capsys):
+        compare_solutions = cli.compare_solutions
+        calls = []
+
+        def failing_compare(first, second):
+            calls.append(None)
+            if len(calls) == 2:
+                raise SolverError("planted failure")
+            return compare_solutions(first, second)
+
+        monkeypatch.setattr(cli, "compare_solutions", failing_compare)
+        config = write_config(
+            tmp_path,
+            """\
+            [experiment]
+            kind = compare
+            depth = 3
+            count = 3
+            seed = 22
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["compare", "--config", config, "--out-dir", str(out)]) == 2
+        assert "error: pair 1: planted failure" in capsys.readouterr().err
+        assert not (out / "summary.csv").exists()
+
 
 # extra scenario rows are appended to this text as unindented lines
 CONFIGURED_WITH_DRIVER = textwrap.dedent(
@@ -531,8 +557,43 @@ class TestConfiguredScenarios:
     @pytest.mark.parametrize(
         "key, value, message",
         [
-            ("barrier_point", "0 ; 0.1, x ; 0", "level row 1 is not numeric: '0.1, x'"),
-            ("barrier_point", "0 ; 0.1, 0, 0 ; 0", "level row 1 needs 1 or 2 entries, got 3"),
+            (
+                "barrier_point",
+                "0 ; 0.1, x ; 0",
+                "barrier_point level row 1 is not numeric: '0.1, x'",
+            ),
+            (
+                "barrier_point",
+                "0 ; 0.1, 0, 0 ; 0",
+                "barrier_point level row 1 needs 1 or 2 entries, got 3",
+            ),
+            (
+                "barrier_point",
+                "0 ; 0",
+                "barrier_point expects 3 level rows separated by ';', got 2",
+            ),
+            ("barrier_right", "0 ; 0.1, x", "barrier_right level row 1 is not numeric: '0.1, x'"),
+            (
+                "barrier_right",
+                "0 ; 0.1, 0, 0",
+                "barrier_right level row 1 needs 1 or 2 entries, got 3",
+            ),
+            (
+                "driver_point",
+                "0 ; 0.3, x ; 0.2",
+                "driver_point level row 1 is not numeric: '0.3, x'",
+            ),
+            (
+                "driver_point",
+                "0 ; 0.3, 0, 0 ; 0.2",
+                "driver_point level row 1 needs 1 or 2 entries, got 3",
+            ),
+            ("driver_right", "0 ; 0.3, x", "driver_right level row 1 is not numeric: '0.3, x'"),
+            (
+                "driver_right",
+                "0 ; 0.3 ; 0",
+                "driver_right expects 2 level rows separated by ';', got 3",
+            ),
             # a one-value terminal reaches every leaf, here below the barrier
             ("terminal", "-5", "terminal payoff fails to dominate the barrier"),
             ("terminal", "0.5, 1.0", "terminal needs 1 or 4 entries, got 2"),

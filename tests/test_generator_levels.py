@@ -45,7 +45,7 @@ def level_spy(gen, depth):
         check(level)
         return gen.dy(level, y, z)
 
-    spec = GeneratorSpec(f"spy:{gen.name}", fn, gen.lipschitz_z, gen.monotone_y, dy)
+    spec = GeneratorSpec(f"spy:{gen.name}", fn, gen.lipschitz_z, gen.monotone_y, dy, gen.affine)
     return spec, seen
 
 

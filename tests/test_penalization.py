@@ -1,9 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+from rbsdelab import penalization
 from rbsdelab.bsde import make_generator, solve_bsde
 from rbsdelab.grid_path import TimeGrid
 from rbsdelab.penalization import (
+    MONOTONE_EQUALITY_TOL,
     STUDY_COLUMNS,
     build_sigma_arrays,
     convergence_study,
@@ -174,6 +178,29 @@ class TestConvergenceStudy:
         assert gaps[-1] <= 1e-2 * study.reference.value.scale()
         for row in study.rows:
             assert row.monotonicity_violation == 0.0
+
+    def test_a_planted_rise_is_reported_as_a_monotonicity_violation(self, rng, monkeypatch):
+        sc = random_scenario(rng, depth=4, name="planted")
+        lift = 1e-6
+        assert lift > MONOTONE_EQUALITY_TOL * 10.0
+        solve = penalization.solve_penalized
+
+        def lifted_at_four(terminal, gen, driver, barrier, n, scheme):
+            sol = solve(terminal, gen, driver, barrier, n, scheme=scheme)
+            if n != 4:
+                return sol
+            value = AdaptedRegulatedProcess(
+                sol.value.tree, sol.value.points + lift, sol.value.rights + lift
+            )
+            return dataclasses.replace(sol, value=value)
+
+        monkeypatch.setattr(penalization, "solve_penalized", lifted_at_four)
+        study = convergence_study(sc.terminal, sc.gen, sc.driver, sc.barrier, [1, 4, 16])
+        first, lifted, after = (row.monotonicity_violation for row in study.rows)
+        assert first == 0.0
+        # the terminal values of every level equal the payoff, so the lift shows in full
+        assert lifted == pytest.approx(lift, rel=1e-9)
+        assert after > MONOTONE_EQUALITY_TOL * study.reference.value.scale()
 
     def test_rejects_bad_study_inputs(self, rng):
         sc = random_scenario(rng, depth=2, name="badstudy")

@@ -52,7 +52,7 @@ def reference_plain(terminal, gen, driver):
         w = point[i + 1] + driver.delta_minus(i + 1)
         cond = w.reshape(-1, 2).mean(axis=1)
         z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
-        y = implicit_interval_step(gen, i, cond, z, tree.dt)
+        y, _ = implicit_interval_step(gen, i, cond, z, tree.dt)
         integrand[i] = z
         right[i] = y
         point[i] = y + driver.delta_plus(i)
@@ -95,7 +95,7 @@ def reference_reflected(terminal, gen, driver, interval_floor, left_floor, point
         w = point[i + 1] + driver.delta_minus(i + 1)
         cond = w.reshape(-1, 2).mean(axis=1)
         z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
-        y = implicit_interval_step(gen, i, cond, z, dt, floor=interval_floor[i])
+        y, _ = implicit_interval_step(gen, i, cond, z, dt, floor=interval_floor[i])
         total = np.maximum(y - cond - gen(i, y, z) * dt, 0.0)
         left = np.minimum(np.maximum(left_floor[i] - cond, 0.0), total)
         k_left[i + 1] = np.repeat(left, 2)
@@ -122,7 +122,9 @@ def reference_penalized(terminal, gen, driver, barrier, n, scheme):
         w = point[i + 1] + driver.delta_minus(i + 1)
         cond = w.reshape(-1, 2).mean(axis=1)
         z = (w[1::2] - w[0::2]) / (2.0 * tree.sqrt_dt)
-        y = implicit_interval_step(gen, i, cond, z, tree.dt, floor=barrier.right[i], penalty=float(n))
+        y, _ = implicit_interval_step(
+            gen, i, cond, z, tree.dt, floor=barrier.right[i], penalty=float(n)
+        )
         k_interval[i] = np.maximum(y - cond - gen(i, y, z) * tree.dt, 0.0)
         integrand[i] = z
         right[i] = y
