@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import GeneratorSpec, SolutionTriple, backward_sweep
-from .rbsde import barrier_transform, default_lower_bound, solve_reflected_direct
+from .rbsde import _floor_shortfall, barrier_transform, default_lower_bound, solve_reflected_direct
 from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace, _level_views
 
 __all__ = [
@@ -277,8 +277,9 @@ def convergence_study(
     mode : {"modified", "classic_vs_transformed"}
         The modified scheme is compared to the full solution at points and
         right limits.  The classic scheme is run against the regularized
-        barrier (built with ``bound``, or a default floor) and compared to
-        the right-limit field only, which is its limit.
+        barrier (built with ``bound``, or with the data-sized default floor
+        widened until it holds along the reference) and compared to the
+        right-limit field only, which is its limit.
     """
     if mode not in ("modified", "classic_vs_transformed"):
         raise ValueError(f"unknown study mode {mode!r}")
@@ -292,11 +293,15 @@ def convergence_study(
         scheme = "modified"
         right_only = False
     else:
-        rows = (
-            np.asarray(bound, dtype=float).reshape(-1)
-            if bound is not None
-            else default_lower_bound(terminal, gen, driver, barrier)
-        )
+        if bound is not None:
+            rows = np.asarray(bound, dtype=float).reshape(-1)
+        else:
+            # widen the data-sized floor where f dips below it along the
+            # reference, as the reduction does along its own solution
+            rows = default_lower_bound(terminal, gen, driver, barrier)
+            worst = _floor_shortfall(gen, rows, reference)
+            if worst:
+                rows = rows - (worst + 1.0)
         target_barrier = barrier_transform(barrier, terminal, rows, driver).lhat
         scheme = "classic"
         right_only = True

@@ -193,15 +193,16 @@ def default_lower_bound(
     barrier: AdaptedRegulatedProcess,
     pad: float = 1.0,
 ) -> np.ndarray:
-    """Deterministic per-interval floor of the generator.
+    """Deterministic per-interval floor of the generator, sized on the data.
 
-    Built from a pre-solve of the unreflected equation: the floor at level i
-    is the minimum of f(t_i, y, 0) over a lattice covering the realized
-    value range, lowered by the z-Lipschitz constant times the largest
-    representable integrand and a safety margin.
+    The floor at level i is the minimum of f(i, y, 0) over a lattice
+    covering the barrier's point and right values and the payoff, widened by
+    ``pad``, lowered by the z-Lipschitz constant times the largest
+    representable integrand and a safety margin.  The solution may leave
+    that range, so callers confirm the floor along a solution and widen it
+    where it fails (see ``solve_via_reduction``).
     """
-    plain = solve_bsde(terminal, gen, driver)
-    fields = (plain.value.points, plain.value.rights, barrier.points, barrier.rights, terminal)
+    fields = (barrier.points, barrier.rights, terminal)
     lo = min(float(np.min(a)) for a in fields) - pad
     hi = max(float(np.max(a)) for a in fields) + pad
     return _bound_rows(gen, driver.tree, lo, hi)
@@ -308,6 +309,17 @@ def _check_bound_on_samples(
             raise ValueError("lower-bound violation detected on samples")
 
 
+def _floor_shortfall(gen: GeneratorSpec, rows: np.ndarray, trip: SolutionTriple) -> float:
+    """Largest excess of the floor over f along a solution, zero within tolerance."""
+    worst = 0.0
+    for i in range(rows.shape[0]):
+        f_val = gen(i, trip.value.right[i], trip.integrand[i])
+        worst = max(worst, float(np.max(rows[i] - f_val)))
+    if worst <= 1e-9 * max(1.0, float(np.max(np.abs(rows)))):
+        return 0.0
+    return worst
+
+
 def solve_via_reduction(
     terminal: np.ndarray,
     gen: GeneratorSpec,
@@ -320,15 +332,16 @@ def solve_via_reduction(
     Pipeline: build the regularized barrier, then run a sweep that reflects
     only on its right-limit field inside intervals and re-attaches point
     values at each step.  With a valid floor this reproduces the direct
-    solution exactly; the floor's validity is confirmed a posteriori at the
-    realized solution arguments, with an automatic widening retry when the
-    default construction was too optimistic.
+    solution exactly.  The default floor is sized on the barrier and the
+    payoff alone, so its validity is confirmed a posteriori at the realized
+    solution arguments, and the floor is widened by the shortfall and the
+    solve retried where it fails.
 
     Raises
     ------
     ValueError
-        If a supplied floor is not finite or fails at the realized
-        arguments, or no valid floor could be established.
+        If a supplied floor is not finite, fails on the sampled box or at
+        the realized arguments, or no valid floor could be established.
     """
     tree = driver.tree
     if barrier.tree is not tree:
@@ -348,16 +361,13 @@ def solve_via_reduction(
         # both the interval and the left-limit floor
         lhat = result.lhat
         trip = backward_sweep(tree, terminal, gen, driver, floor=lhat.right, point_floor=lhat.point)
-        worst = 0.0
-        for i in range(tree.depth):
-            f_val = gen(i, trip.value.right[i], trip.integrand[i])
-            worst = max(worst, float(np.max(rows[i] - f_val)))
-        if worst <= 1e-9 * max(1.0, float(np.max(np.abs(rows)))):
+        worst = _floor_shortfall(gen, rows, trip)
+        if not worst:
             return trip
         if user_bound:
-            raise ValueError("lower-bound violation detected on samples")
+            raise ValueError(f"lower-bound violation at the realized solution, by {worst:.3g}")
         rows = rows - (worst + 1.0)
-    raise ValueError("lower-bound violation detected on samples")
+    raise ValueError(f"lower-bound violation after widening the floor, by {worst:.3g}")
 
 
 # ----------------------------------------------------------------------

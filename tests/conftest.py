@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
 
+from rbsdelab.bsde import make_generator
+from rbsdelab.scenarios import random_scenario
+from rbsdelab.tree_space import AdaptedRegulatedProcess
+
 
 @pytest.fixture
 def rng():
@@ -16,3 +20,20 @@ def sup_gap(a, b):
     for i in range(tree.depth):
         worst = max(worst, float(np.max(np.abs(a.right[i] - b.right[i]))))
     return worst
+
+
+def climbing_scenario():
+    """Cubic instance whose solution climbs far above its barrier and payoff.
+
+    The driver jumps right by +3 at every node and never left, so Y leaves
+    the range the data-sized floor covers, and the cubic falls below that
+    floor along the solution.
+    """
+    sc = random_scenario(np.random.default_rng(3), 6, gen=make_generator("monotone_cubic:0.2"))
+    depth = sc.tree.depth
+    driver = AdaptedRegulatedProcess.from_levels(
+        sc.tree,
+        [np.full(1 << i, 3.0 * i) for i in range(depth + 1)],
+        [np.full(1 << i, 3.0 * i + 3.0) for i in range(depth)],
+    )
+    return sc.terminal, sc.gen, driver, sc.barrier

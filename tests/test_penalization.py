@@ -15,11 +15,11 @@ from rbsdelab.penalization import (
     solve_penalized,
     step_one_barrier,
 )
-from rbsdelab.rbsde import solve_reflected_direct, verify_solution
+from rbsdelab.rbsde import default_lower_bound, solve_reflected_direct, verify_solution
 from rbsdelab.scenarios import cadlag_scenario, random_scenario
 from rbsdelab.tree_space import AdaptedRegulatedProcess, build_tree
 
-from conftest import sup_gap
+from conftest import climbing_scenario, sup_gap
 
 
 def small_tree(depth, horizon=1.0):
@@ -178,6 +178,24 @@ class TestConvergenceStudy:
         assert gaps[-1] <= 1e-2 * study.reference.value.scale()
         for row in study.rows:
             assert row.monotonicity_violation == 0.0
+
+    def test_classic_study_widens_the_default_floor_along_the_reference(self):
+        terminal, gen, driver, barrier = climbing_scenario()
+        levels = [1, 4, 16, 64]
+        study = convergence_study(
+            terminal, gen, driver, barrier, levels, mode="classic_vs_transformed"
+        )
+        gaps = [row.sup_gap_y for row in study.rows]
+        assert gaps == sorted(gaps, reverse=True)
+        assert gaps[-1] < 0.2 * gaps[0]
+        for row in study.rows:
+            assert row.monotonicity_violation == 0.0
+        # the same floor unwidened lets the classic solves overshoot the reference
+        rows = default_lower_bound(terminal, gen, driver, barrier)
+        unguarded = convergence_study(
+            terminal, gen, driver, barrier, levels, mode="classic_vs_transformed", bound=rows
+        )
+        assert max(row.monotonicity_violation for row in unguarded.rows) > 0.1
 
     def test_a_planted_rise_is_reported_as_a_monotonicity_violation(self, rng, monkeypatch):
         sc = random_scenario(rng, depth=4, name="planted")

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from rbsdelab import rbsde
 from rbsdelab.bsde import make_generator, solve_bsde
+from rbsdelab.cli import ROUTE_TOL
 from rbsdelab.grid_path import TimeGrid
 from rbsdelab.rbsde import (
     ReflectedProblem,
@@ -23,7 +25,7 @@ from rbsdelab.scenarios import (
 from rbsdelab.snell import brute_force_snell, snell_envelope
 from rbsdelab.tree_space import AdaptedRegulatedProcess, build_tree
 
-from conftest import sup_gap
+from conftest import climbing_scenario, sup_gap
 
 
 def small_tree(depth, horizon=1.0):
@@ -218,6 +220,51 @@ class TestReduction:
             solve_via_reduction(
                 sc.terminal, sc.gen, sc.driver, sc.barrier, bound=np.full(3, 1.0)
             )
+
+    def test_widens_a_data_sized_floor_that_fails_along_the_solution(self, monkeypatch):
+        terminal, gen, driver, barrier = climbing_scenario()
+        transforms = []
+        transform = rbsde.barrier_transform
+
+        def counting_transform(*args, **kwargs):
+            transforms.append(args[2])
+            return transform(*args, **kwargs)
+
+        monkeypatch.setattr(rbsde, "barrier_transform", counting_transform)
+        reduced = solve_via_reduction(terminal, gen, driver, barrier)
+        # the first floor fails at the realized solution, the widened one holds
+        assert len(transforms) == 2
+        assert np.all(transforms[1] < transforms[0] - 1.0)
+        direct = solve_reflected_direct(terminal, gen, driver, barrier)
+        scale = direct.value.scale()
+        for gap in solution_distance(direct, reduced).values():
+            assert gap <= ROUTE_TOL * scale
+
+    def test_rejects_a_user_floor_that_fails_at_the_realized_solution(self):
+        terminal, gen, driver, barrier = climbing_scenario()
+        rows = default_lower_bound(terminal, gen, driver, barrier)
+        # the rows pass the sampled box, so only the realized check rejects them
+        with pytest.raises(ValueError, match="lower-bound violation at the realized solution"):
+            solve_via_reduction(terminal, gen, driver, barrier, bound=rows)
+
+    def test_gives_up_when_widening_never_makes_the_floor_hold(self, rng, monkeypatch):
+        sc = random_scenario(rng, depth=3, name="stubborn")
+        monkeypatch.setattr(rbsde, "_floor_shortfall", lambda gen, rows, trip: 1.0)
+        with pytest.raises(ValueError, match="lower-bound violation after widening the floor"):
+            solve_via_reduction(sc.terminal, sc.gen, sc.driver, sc.barrier)
+
+    def test_runs_one_unreflected_solve_for_the_auxiliary_only(self, rng, monkeypatch):
+        sc = random_scenario(rng, depth=5, name="one-solve")
+        solves = []
+        solve = rbsde.solve_bsde
+
+        def counting_solve(*args, **kwargs):
+            solves.append(args[1].name)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(rbsde, "solve_bsde", counting_solve)
+        solve_via_reduction(sc.terminal, sc.gen, sc.driver, sc.barrier)
+        assert solves == ["floor-absorber"]
 
     def test_rejects_mismatched_trees(self):
         barrier = AdaptedRegulatedProcess.zeros(small_tree(2))
