@@ -15,18 +15,19 @@ Snell envelope are all calls of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace, _level_views
+from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace, _heap_array, _level_views
 from .tree_space import conditional_expectation, martingale_representation
 
 __all__ = [
     "SolverError",
     "GeneratorSpec",
     "SolutionTriple",
+    "generator_values",
     "make_generator",
     "table_generator",
     "validate_generator",
@@ -76,11 +77,34 @@ class GeneratorSpec:
 
 @dataclass
 class SolutionTriple:
-    """Value process, representation integrand, and reflection charges."""
+    """Value process Y, representation integrand Z, and reflection charges K.
+
+    ``integrands`` holds Z(t_i) over levels 0..N-1 heap-ordered like every
+    adapted field, node k of level i at 2**i - 1 + k, used as given;
+    ``integrand`` is its tuple of per-level views.
+    """
 
     value: AdaptedRegulatedProcess
-    integrand: tuple[np.ndarray, ...]
+    integrands: np.ndarray
     increments: KIncrements
+    integrand: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        n = self.value.tree.depth
+        self.integrands = _heap_array(self.integrands, n, "integrand")
+        self.integrand = _level_views(self.integrands, n)
+
+
+def generator_values(gen: GeneratorSpec, trip: SolutionTriple) -> np.ndarray:
+    """f(i, Y(t_i+), Z(t_i)) at every interval node, heap-ordered like ``trip.integrands``.
+
+    One generator call per level, written through a level view.
+    """
+    n = trip.value.tree.depth
+    values = np.empty((1 << n) - 1)
+    for i, level in enumerate(_level_views(values, n)):
+        level[:] = gen(i, trip.value.right[i], trip.integrand[i])
+    return values
 
 
 def make_generator(spec: str) -> GeneratorSpec:
@@ -439,7 +463,8 @@ def backward_sweep(
             raise ValueError(f"terminal payoff fails to dominate the barrier by {-gap:.3e}")
 
     value = AdaptedRegulatedProcess.zeros(tree)
-    integrand = _level_views(np.zeros((1 << n) - 1), n)
+    integrands = np.zeros((1 << n) - 1)
+    integrand = _level_views(integrands, n)
     zero = KIncrements.zeros(tree)
     k = KIncrements(
         tree,
@@ -472,7 +497,7 @@ def backward_sweep(
         else:
             np.maximum(point_floor[i] - up, 0.0, out=k.right[i])
             np.maximum(up, point_floor[i], out=value.point[i])
-    return SolutionTriple(value=value, integrand=integrand, increments=k)
+    return SolutionTriple(value=value, integrands=integrands, increments=k)
 
 
 def solve_bsde(
@@ -516,11 +541,11 @@ def dynamics_residual(
     z = trip.integrand
     k = trip.increments
     xi = np.asarray(terminal, dtype=float)
+    f = _level_views(generator_values(gen, trip), tree.depth)
 
     worst = float(np.max(np.abs(y.point[tree.depth] - xi)))
     for i in range(tree.depth):
-        f_val = gen(i, y.right[i], z[i])
-        parent_part = f_val * tree.dt + k.interval[i]
+        parent_part = f[i] * tree.dt + k.interval[i]
         recon = (
             y.point[i + 1]
             + driver.delta_minus(i + 1)
@@ -542,7 +567,7 @@ def dynamics_residual(
 class TransformedProblem:
     """Data and candidate solution after scaling by exp(a t).
 
-    The candidate solution is the scaled image of the supplied one and solves
+    The candidate is the scaled image of the supplied solution and solves
     the transformed equation up to a first-order defect in the step size; the
     identity is exact only in continuous time.
     """
@@ -552,25 +577,13 @@ class TransformedProblem:
     gen: GeneratorSpec
     driver: AdaptedRegulatedProcess
     barrier: AdaptedRegulatedProcess | None
-    candidate_value: AdaptedRegulatedProcess | None
-    candidate_integrand: list[np.ndarray] | None
-    candidate_increments: KIncrements | None
+    candidate: SolutionTriple | None
 
 
 def _time_factors(tree: TreeSpace, rate: float) -> np.ndarray:
-    # exp(rate t_i) at every node of levels 0..N, heap-ordered; a field over
-    # levels 0..N-1 takes the leading 2**N - 1 entries
+    # exp(rate t_i) at every node of levels 0..N, heap-ordered
     per_level = [float(np.exp(rate * tree.time(i))) for i in range(tree.depth + 1)]
     return np.repeat(per_level, 1 << np.arange(tree.depth + 1))
-
-
-def _scale_process_by_time(
-    process: AdaptedRegulatedProcess, rate: float
-) -> AdaptedRegulatedProcess:
-    factors = _time_factors(process.tree, rate)
-    return AdaptedRegulatedProcess(
-        process.tree, process.points * factors, process.rights * factors[: process.rights.size]
-    )
 
 
 def _scale_driver(driver: AdaptedRegulatedProcess, rate: float) -> AdaptedRegulatedProcess:
@@ -584,12 +597,6 @@ def _scale_driver(driver: AdaptedRegulatedProcess, rate: float) -> AdaptedRegula
         e_next = float(np.exp(rate * tree.time(i + 1)))
         point.append(np.repeat(right[i], 2) + e_next * driver.delta_minus(i + 1))
     return AdaptedRegulatedProcess.from_levels(tree, point, right)
-
-
-def _scale_increments(k: KIncrements, rate: float) -> KIncrements:
-    factors = _time_factors(k.tree, rate)
-    short = factors[: k.rights.size]
-    return KIncrements(k.tree, k.intervals * short, k.lefts * factors, k.rights * short)
 
 
 def exponential_transform(
@@ -638,23 +645,26 @@ def exponential_transform(
         dy=transformed_dy,
         affine=gen.affine,
     )
-    driver_t = _scale_driver(driver, a)
-    barrier_t = _scale_process_by_time(barrier, a) if barrier is not None else None
+    # every field of levels 0..N-1 takes the leading 2**N - 1 factors
+    factors = _time_factors(tree, a)
+    short = factors[: (1 << tree.depth) - 1]
 
-    value_t = integrand_t = increments_t = None
+    def scaled(process: AdaptedRegulatedProcess) -> AdaptedRegulatedProcess:
+        return AdaptedRegulatedProcess(tree, process.points * factors, process.rights * short)
+
+    candidate = None
     if solution is not None:
-        value_t = _scale_process_by_time(solution.value, a)
-        integrand_t = [
-            solution.integrand[i] * float(np.exp(a * tree.time(i))) for i in range(tree.depth)
-        ]
-        increments_t = _scale_increments(solution.increments, a)
+        k = solution.increments
+        candidate = SolutionTriple(
+            scaled(solution.value),
+            solution.integrands * short,
+            KIncrements(tree, k.intervals * short, k.lefts * factors, k.rights * short),
+        )
     return TransformedProblem(
         rate=a,
         terminal=xi_t,
         gen=gen_t,
-        driver=driver_t,
-        barrier=barrier_t,
-        candidate_value=value_t,
-        candidate_integrand=integrand_t,
-        candidate_increments=increments_t,
+        driver=_scale_driver(driver, a),
+        barrier=None if barrier is None else scaled(barrier),
+        candidate=candidate,
     )

@@ -15,8 +15,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import GeneratorSpec, SolutionTriple, backward_sweep
-from .rbsde import _floor_shortfall, barrier_transform, default_lower_bound, solve_reflected_direct
-from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace, _level_views
+from .rbsde import BOUND_SAMPLE_TOL, _bound_values, _check_bound_on_samples, _floor_shortfall
+from .rbsde import barrier_transform, default_lower_bound, solve_reflected_direct
+from .tree_space import AdaptedRegulatedProcess, TreeSpace, _level_views
 
 __all__ = [
     "SigmaArray",
@@ -72,9 +73,8 @@ def sigma_array(
     threshold = -1.0 / float(n)
     # no right jump at the horizon, so the terminal level is never flagged
     mask = np.zeros(barrier.points.size, dtype=bool)
-    mask[: barrier.rights.size] = (
-        (barrier.rights - barrier.points[: barrier.rights.size] < threshold)
-        | (driver.rights - driver.points[: driver.rights.size] < threshold)
+    mask[: barrier.rights.size] = (barrier.right_jumps() < threshold) | (
+        driver.right_jumps() < threshold
     )
     return SigmaArray(n=int(n), mask=mask)
 
@@ -87,8 +87,8 @@ def build_sigma_arrays(
 
 
 @dataclass
-class PenalizedSolution:
-    """Level-n approximation with its split increasing process.
+class PenalizedSolution(SolutionTriple):
+    """Level-n approximation of ``scheme``, with its split increasing process.
 
     ``increments`` has no left jumps: ``kstar_interval[i]`` is the penalty
     mass accrued on (t_i, t_{i+1}), ``kd_right[i]`` the correction charges,
@@ -97,9 +97,6 @@ class PenalizedSolution:
 
     n: int
     scheme: str
-    value: AdaptedRegulatedProcess
-    integrand: tuple[np.ndarray, ...]
-    increments: KIncrements
 
     @property
     def kstar_interval(self) -> tuple[np.ndarray, ...]:
@@ -108,9 +105,6 @@ class PenalizedSolution:
     @property
     def kd_right(self) -> tuple[np.ndarray, ...]:
         return self.increments.right
-
-    def as_triple(self) -> SolutionTriple:
-        return SolutionTriple(value=self.value, integrand=self.integrand, increments=self.increments)
 
     def kd_mass(self) -> float:
         tree = self.value.tree
@@ -156,13 +150,7 @@ def solve_penalized(
     trip = backward_sweep(
         driver.tree, terminal, gen, driver, barrier.right, point_floor, penalty=float(n)
     )
-    return PenalizedSolution(
-        n=int(n),
-        scheme=scheme,
-        value=trip.value,
-        integrand=trip.integrand,
-        increments=trip.increments,
-    )
+    return PenalizedSolution(trip.value, trip.integrands, trip.increments, n=int(n), scheme=scheme)
 
 
 def step_one_barrier(
@@ -280,6 +268,12 @@ def convergence_study(
         barrier (built with ``bound``, or with the data-sized default floor
         widened until it holds along the reference) and compared to the
         right-limit field only, which is its limit.
+
+    Raises
+    ------
+    ValueError
+        If a supplied ``bound`` is not finite, or the generator falls below
+        it on the sampled box or along the reference solution.
     """
     if mode not in ("modified", "classic_vs_transformed"):
         raise ValueError(f"unknown study mode {mode!r}")
@@ -293,15 +287,18 @@ def convergence_study(
         scheme = "modified"
         right_only = False
     else:
-        if bound is not None:
-            rows = np.asarray(bound, dtype=float).reshape(-1)
-        else:
-            # widen the data-sized floor where f dips below it along the
-            # reference, as the reduction does along its own solution
+        # as the reduction does along its own solution, a supplied floor is
+        # checked and the data-sized one widened where f dips below it
+        if bound is None:
             rows = default_lower_bound(terminal, gen, driver, barrier)
-            worst = _floor_shortfall(gen, rows, reference)
-            if worst:
-                rows = rows - (worst + 1.0)
+        else:
+            rows = _bound_values(bound, tree.depth)
+            _check_bound_on_samples(gen, rows, tree, barrier, terminal, BOUND_SAMPLE_TOL)
+        worst = _floor_shortfall(gen, rows, reference)
+        if worst and bound is not None:
+            raise ValueError(f"lower-bound violation at the reference solution, by {worst:.3g}")
+        if worst:
+            rows = rows - (worst + 1.0)
         target_barrier = barrier_transform(barrier, terminal, rows, driver).lhat
         scheme = "classic"
         right_only = True

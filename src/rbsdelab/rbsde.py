@@ -22,13 +22,14 @@ from .bsde import (
     SolutionTriple,
     backward_sweep,
     dynamics_residual,
+    generator_values,
     implicit_interval_step,  # read by bench/test_bench.py::test_tracer_restores_every_patched_name
     solve_bsde,
     table_generator,
 )
 from .snell import minimality_residuals, snell_envelope
 from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace
-from .tree_space import conditional_expectation, rule_value_fields
+from .tree_space import _level_views, conditional_expectation, rule_value_fields
 
 __all__ = [
     "KIncrements",
@@ -49,6 +50,7 @@ __all__ = [
 
 BOUND_MARGIN = 0.5
 BOUND_LATTICE = 129
+BOUND_SAMPLE_TOL = 1e-9
 ORDER_EQUALITY_TOL = 1e-13
 
 
@@ -151,13 +153,11 @@ def stopping_representation_check(
     value as its supremum over adapted rules.  Brute-forced, so depth is
     capped at the oracle limit.
     """
-    tree = trip.value.tree
-    xi = np.asarray(terminal, dtype=float)
-    running = [gen(i, trip.value.right[i], trip.integrand[i]) for i in range(tree.depth)]
-    point_sup, right_sup = rule_value_fields(tree, barrier, xi, driver=driver, running_right=running)
+    oracle = rule_value_fields(
+        trip.value.tree, barrier, terminal, driver, generator_values(gen, trip)
+    )
     return max(
-        _sup_gap(trip.value.points, np.concatenate(point_sup)),
-        _sup_gap(trip.value.rights, np.concatenate(right_sup)),
+        _sup_gap(trip.value.points, oracle.points), _sup_gap(trip.value.rights, oracle.rights)
     )
 
 
@@ -230,7 +230,7 @@ def barrier_transform(
     bound: np.ndarray,
     driver: AdaptedRegulatedProcess,
     gen: GeneratorSpec | None = None,
-    tol: float = 1e-9,
+    tol: float = BOUND_SAMPLE_TOL,
 ) -> BarrierTransformResult:
     """Replace the barrier by the smallest dominating reward envelope.
 
@@ -312,9 +312,8 @@ def _check_bound_on_samples(
 def _floor_shortfall(gen: GeneratorSpec, rows: np.ndarray, trip: SolutionTriple) -> float:
     """Largest excess of the floor over f along a solution, zero within tolerance."""
     worst = 0.0
-    for i in range(rows.shape[0]):
-        f_val = gen(i, trip.value.right[i], trip.integrand[i])
-        worst = max(worst, float(np.max(rows[i] - f_val)))
+    for row, f in zip(rows, _level_views(generator_values(gen, trip), rows.shape[0])):
+        worst = max(worst, float(np.max(row - f)))
     if worst <= 1e-9 * max(1.0, float(np.max(np.abs(rows)))):
         return 0.0
     return worst
@@ -420,10 +419,10 @@ def compare_solutions(
         return ComparisonReport(valid=False, reason="problems live on different trees")
     if float(np.max(first.terminal - second.terminal)) > tol:
         return ComparisonReport(valid=False, reason="terminal values are not ordered")
-    (plus1, minus1), (plus2, minus2) = _jumps(first.driver), _jumps(second.driver)
-    if float(np.max(plus1 - plus2)) > tol:
+    d1, d2 = first.driver, second.driver
+    if float(np.max(d1.right_jumps() - d2.right_jumps())) > tol:
         return ComparisonReport(valid=False, reason="driver right jumps are not ordered")
-    if float(np.max(minus1 - minus2)) > tol:
+    if float(np.max(d1.left_jumps() - d2.left_jumps())) > tol:
         return ComparisonReport(valid=False, reason="driver left jumps are not ordered")
     point_gap = first.barrier.points - second.barrier.points
     right_gap = first.barrier.rights - second.barrier.rights
@@ -434,13 +433,10 @@ def compare_solutions(
     sol1 = solve_reflected_direct(first.terminal, first.gen, first.driver, first.barrier)
     sol2 = solve_reflected_direct(second.terminal, second.gen, second.driver, second.barrier)
 
-    for i in range(tree.depth):
-        f1 = first.gen(i, sol2.value.right[i], sol2.integrand[i])
-        f2 = second.gen(i, sol2.value.right[i], sol2.integrand[i])
-        if float(np.max(f1 - f2)) > tol:
-            return ComparisonReport(
-                valid=False, reason="generators are not ordered along the second solution"
-            )
+    if float(np.max(generator_values(first.gen, sol2) - generator_values(second.gen, sol2))) > tol:
+        return ComparisonReport(
+            valid=False, reason="generators are not ordered along the second solution"
+        )
 
     violation = max(
         0.0,
@@ -474,21 +470,12 @@ def compare_solutions(
     )
 
 
-def _jumps(process: AdaptedRegulatedProcess) -> tuple[np.ndarray, np.ndarray]:
-    # right jumps at levels 0..N-1 and left jumps at levels 1..N, heap-ordered;
-    # the others are zero
-    return (
-        process.rights - process.points[: process.rights.size],
-        process.points[1:] - np.repeat(process.rights, 2),
-    )
-
-
 def solution_distance(a: SolutionTriple, b: SolutionTriple) -> dict[str, float]:
     """Sup-node gaps between two triples, per component."""
     ka, kb = a.increments, b.increments
     return {
         "y": max(_sup_gap(a.value.points, b.value.points), _sup_gap(a.value.rights, b.value.rights)),
-        "z": max(_sup_gap(za, zb) for za, zb in zip(a.integrand, b.integrand)),
+        "z": _sup_gap(a.integrands, b.integrands),
         "k_interval": _sup_gap(ka.intervals, kb.intervals),
         "k_left": _sup_gap(ka.lefts, kb.lefts),
         "k_right": _sup_gap(ka.rights, kb.rights),

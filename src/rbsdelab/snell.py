@@ -119,6 +119,4 @@ def brute_force_snell(
     is evaluated and the node value is the maximum expected stopped reward.
     Capped at small depths because the rule count explodes.
     """
-    tree = barrier.tree
-    point_sup, right_sup = rule_value_fields(tree, barrier, np.asarray(terminal, dtype=float))
-    return AdaptedRegulatedProcess.from_levels(tree, point_sup, right_sup)
+    return rule_value_fields(barrier.tree, barrier, terminal)

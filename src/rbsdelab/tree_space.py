@@ -192,6 +192,14 @@ class AdaptedRegulatedProcess:
             return np.zeros(1)
         return self.point[level] - np.repeat(self.right[level - 1], 2)
 
+    def right_jumps(self) -> np.ndarray:
+        """Right jumps at levels 0..N-1, heap-ordered like ``rights``."""
+        return self.rights - self.points[: self.rights.size]
+
+    def left_jumps(self) -> np.ndarray:
+        """Left jumps at levels 1..N, heap-ordered like ``points[1:]``."""
+        return self.points[1:] - np.repeat(self.rights, 2)
+
     # ------------------------------------------------------------------
     # arithmetic used by the barrier transform
 
@@ -425,7 +433,7 @@ def enumerate_stopping_rules(tree: TreeSpace, from_level: int = 0) -> list[Stopp
 def expected_reward(
     tree: TreeSpace,
     rule: StoppingRule,
-    running: AdaptedRegulatedProcess | None,
+    running: np.ndarray | None,
     barrier: AdaptedRegulatedProcess,
     terminal: np.ndarray,
     driver: AdaptedRegulatedProcess | None = None,
@@ -433,41 +441,43 @@ def expected_reward(
 ) -> float:
     """Expected stopped reward of one rule, conditional on ``node``.
 
-    Accumulates the running integrand (its interval value times dt) and every
-    driver increment crossed strictly before the stop, then adds the stopped
-    payoff: the barrier point value when stopping at a grid point, the barrier
-    right value plus the driver right jump when stopping just after one, and
-    the terminal payoff at the final level.  Stopping just after t_i collects
-    the driver right jump at t_i but no interval accrual, matching a stopping
-    time that shrinks to the left end of the open interval.
+    ``running`` is the running reward on the intervals, heap-ordered over
+    levels 0..N-1 (``None`` for none).  Accumulates it (its interval value
+    times dt) and every driver increment crossed strictly before the stop,
+    then adds the stopped payoff: the barrier point value when stopping at a
+    grid point, the barrier right value plus the driver right jump when
+    stopping just after one, and the terminal payoff at the final level.
+    Stopping just after t_i collects the driver right jump at t_i but no
+    interval accrual, matching a stopping time that shrinks to the left end
+    of the open interval.
     """
     terminal = np.asarray(terminal, dtype=float)
     if terminal.shape[0] != tree.n_nodes(tree.depth):
         raise ValueError("terminal payoff has the wrong number of leaves")
-    g_right = (running if running is not None else AdaptedRegulatedProcess.zeros(tree)).right
+    if running is not None:
+        running = _heap_array(running, tree.depth, "running reward")
+    plus = None if driver is None else driver.right_jumps()
+    minus = None if driver is None else driver.left_jumps()
     dt = tree.dt
 
-    def dplus_v(level: int) -> np.ndarray:
-        return driver.delta_plus(level) if driver is not None else np.zeros(tree.n_nodes(level))
-
-    def dminus_v(level: int) -> np.ndarray:
-        return driver.delta_minus(level) if driver is not None else np.zeros(tree.n_nodes(level))
+    def entry(values: np.ndarray | None, index: int) -> float:
+        return 0.0 if values is None else float(values[index])
 
     def value(level: int, k: int, plan: tuple) -> float:
         mode = plan[0]
+        at = (1 << level) - 1 + k
         if mode == "point":
             if level == tree.depth:
                 return float(terminal[k])
             return float(barrier.point[level][k])
         if mode == "after":
-            return float(dplus_v(level)[k] + barrier.right[level][k])
-        acc = float(dplus_v(level)[k] + g_right[level][k] * dt)
+            return entry(plus, at) + float(barrier.right[level][k])
+        acc = entry(plus, at) + entry(running, at) * dt
         children = 0.0
         for b in (0, 1):
             child = 2 * k + b
-            children += 0.5 * (
-                float(dminus_v(level + 1)[child]) + value(level + 1, child, plan[1 + b])
-            )
+            # left jumps are stored from level 1 on, one slot before the heap index
+            children += 0.5 * (entry(minus, 2 * at + b) + value(level + 1, child, plan[1 + b]))
         return acc + children
 
     if rule.from_level == tree.depth and rule.plan != ("point",):
@@ -480,50 +490,46 @@ def rule_value_fields(
     barrier: AdaptedRegulatedProcess,
     terminal: np.ndarray,
     driver: AdaptedRegulatedProcess | None = None,
-    running_right: list[np.ndarray] | None = None,
-) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    running: np.ndarray | None = None,
+) -> AdaptedRegulatedProcess:
     """Per-node supremum of expected stopped rewards over all rules.
 
     Evaluates every enumerated plan at every node by backward sweep over the
     plan graph and maximizes at the end, without any interleaved reflection
-    logic.  Returns the point-value field (sup over all plans, terminal row
-    equal to the terminal payoff) and the right-value field (sup over plans
-    that do not stop at the current point, minus the driver right jump that a
-    time strictly after t_i no longer collects).
+    logic.  ``running`` is the running reward on the intervals, heap-ordered
+    over levels 0..N-1 (``None`` for none).  Returns the process whose point
+    values are the sup over all plans (the terminal one is the terminal
+    payoff) and whose right values are the sup over plans that do not stop
+    at the current point, minus the driver right jump that a time strictly
+    after t_i no longer collects.
 
     This is the brute-force side of the envelope and representation checks,
     so the subtree depth is capped.
     """
-    if tree.depth > ORACLE_DEPTH_CAP:
+    n = tree.depth
+    if n > ORACLE_DEPTH_CAP:
         raise ValueError(f"brute-force evaluation capped at depth {ORACLE_DEPTH_CAP}")
     terminal = np.asarray(terminal, dtype=float)
     dt = tree.dt
-    if running_right is None:
-        running_right = [np.zeros(tree.n_nodes(i)) for i in range(tree.depth)]
-
-    point_sup: list[np.ndarray | None] = [None] * (tree.depth + 1)
-    right_sup: list[np.ndarray | None] = [None] * tree.depth
-    point_sup[tree.depth] = terminal.copy()
+    if running is not None:
+        running = _level_views(_heap_array(running, n, "running reward"), n)
+    points = np.zeros((2 << n) - 1)
+    rights = np.zeros((1 << n) - 1)
+    point_sup, right_sup = _level_views(points, n + 1), _level_views(rights, n)
+    point_sup[n][:] = terminal
 
     # values[j] is the reward of plan j at every node of the current level
     values = terminal[np.newaxis, :]
-    for level in range(tree.depth - 1, -1, -1):
-        dplus_v = driver.delta_plus(level) if driver is not None else 0.0
-        dminus_v = (
-            driver.delta_minus(level + 1)
-            if driver is not None
-            else np.zeros(tree.n_nodes(level + 1))
-        )
-        down = values[:, 0::2] + dminus_v[0::2]
-        up = values[:, 1::2] + dminus_v[1::2]
-        n_plans = values.shape[0]
-        n_nodes = tree.n_nodes(level)
-        cont = 0.5 * (down[:, np.newaxis, :] + up[np.newaxis, :, :])
-        cont = cont.reshape(n_plans * n_plans, n_nodes)
-        cont += dplus_v + running_right[level] * dt
+    for level in range(n - 1, -1, -1):
+        dplus_v = 0.0 if driver is None else driver.delta_plus(level)
+        crossed = values + (0.0 if driver is None else driver.delta_minus(level + 1))
+        # every pair of plans for the down and the up child
+        cont = 0.5 * (crossed[:, np.newaxis, 0::2] + crossed[np.newaxis, :, 1::2])
+        cont = cont.reshape(-1, tree.n_nodes(level))
+        cont += dplus_v + (0.0 if running is None else running[level] * dt)
         stop_point = barrier.point[level][np.newaxis, :]
         stop_after = (dplus_v + barrier.right[level])[np.newaxis, :]
         values = np.concatenate([stop_point, stop_after, cont], axis=0)
-        point_sup[level] = values.max(axis=0)
-        right_sup[level] = values[1:].max(axis=0) - dplus_v
-    return point_sup, right_sup
+        values.max(axis=0, out=point_sup[level])
+        np.subtract(values[1:].max(axis=0), dplus_v, out=right_sup[level])
+    return AdaptedRegulatedProcess(tree, points, rights)

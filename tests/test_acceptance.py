@@ -223,7 +223,7 @@ def test_criterion_05_penalty_approximations_converge_monotonically():
         mid = study.solutions[6]
         stepped = step_one_barrier(mid, sc.barrier)
         report = verify_solution(
-            mid.as_triple(), sc.terminal, sc.gen, sc.driver, stepped
+            mid, sc.terminal, sc.gen, sc.driver, stepped
         )
         if report.max_residual() > 1e-10 * scale:
             failures.append((index, "stepped-barrier solve"))
@@ -419,7 +419,7 @@ def test_criterion_09_exponential_scaling_commutes_with_solving():
         direct = solve_reflected_direct(
             moved.terminal, moved.gen, moved.driver, moved.barrier
         )
-        gaps.append(sup_gap(moved.candidate_value, direct.value))
+        gaps.append(sup_gap(moved.candidate.value, direct.value))
     slope = -np.polyfit(np.log([4.0, 8.0, 16.0]), np.log(gaps), 1)[0]
     _report(
         9,

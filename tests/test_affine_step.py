@@ -222,7 +222,6 @@ class TestFalseDeclarations:
         sol = SOLVES[form](lying)
         # one Newton step misses the cubic's root, so the bisection must have run
         assert len(fallbacks) > 0
-        triple = sol if form == "reflected" else sol.as_triple()
         scale = max(sc.scale(), honest.value.scale())
-        assert dynamics_residual(triple, sc.terminal, cubic, sc.driver) <= RESIDUAL_TOL * scale
+        assert dynamics_residual(sol, sc.terminal, cubic, sc.driver) <= RESIDUAL_TOL * scale
         assert np.max(np.abs(sol.value.points - honest.value.points)) <= 1e-12 * scale

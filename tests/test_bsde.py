@@ -16,6 +16,8 @@ from rbsdelab.bsde import (
     validate_generator,
 )
 from rbsdelab.grid_path import TimeGrid
+from rbsdelab.rbsde import solve_reflected_direct
+from rbsdelab.scenarios import random_scenario
 from rbsdelab.tree_space import AdaptedRegulatedProcess, build_tree
 
 
@@ -409,7 +411,7 @@ class TestExponentialTransform:
         np.testing.assert_array_equal(result.terminal, terminal)
         for level in range(4):
             np.testing.assert_array_equal(
-                result.candidate_value.point[level], pair.value.point[level]
+                result.candidate.value.point[level], pair.value.point[level]
             )
             # the driver is rebuilt from its jumps, so only rounding-level drift remains
             np.testing.assert_allclose(
@@ -442,13 +444,34 @@ class TestExponentialTransform:
         for i in range(4):
             factor = np.exp(0.7 * tree.time(i))
             np.testing.assert_allclose(
-                result.candidate_value.point[i], factor * pair.value.point[i], atol=1e-13
+                result.candidate.value.point[i], factor * pair.value.point[i], atol=1e-13
             )
         for i in range(3):
             factor = np.exp(0.7 * tree.time(i))
             np.testing.assert_allclose(
-                result.candidate_integrand[i], factor * pair.integrand[i], atol=1e-13
+                result.candidate.integrand[i], factor * pair.integrand[i], atol=1e-13
             )
+
+    def test_candidate_scales_each_level_by_one_factor_bit_for_bit(self, rng):
+        sc = random_scenario(rng, 4)
+        trip = solve_reflected_direct(sc.terminal, sc.gen, sc.driver, sc.barrier)
+        candidate = exponential_transform(
+            0.7, sc.terminal, sc.gen, sc.driver, sc.barrier, solution=trip
+        ).candidate
+        k, kt = trip.increments, candidate.increments
+        for i in range(4):
+            factor = float(np.exp(0.7 * sc.tree.time(i)))
+            for got, want in [
+                (candidate.value.right[i], trip.value.right[i]),
+                (candidate.integrand[i], trip.integrand[i]),
+                (kt.interval[i], k.interval[i]),
+                (kt.right[i], k.right[i]),
+            ]:
+                assert got.tobytes() == (want * factor).tobytes()
+        for i in range(5):
+            factor = float(np.exp(0.7 * sc.tree.time(i)))
+            assert candidate.value.point[i].tobytes() == (trip.value.point[i] * factor).tobytes()
+            assert kt.left[i].tobytes() == (k.left[i] * factor).tobytes()
 
     @pytest.mark.parametrize("spec", ["zero", "linear:0.4,0.3", "monotone_cubic:0.25"])
     def test_slope_is_a_central_difference_of_the_transformed_driver(self, rng, spec):
@@ -490,7 +513,7 @@ class TestExponentialTransform:
         result = exponential_transform(1.0, terminal, gen, driver, solution=pair)
         direct = solve_bsde(result.terminal, result.gen, result.driver)
         gap = max(
-            float(np.max(np.abs(direct.value.point[i] - result.candidate_value.point[i])))
+            float(np.max(np.abs(direct.value.point[i] - result.candidate.value.point[i])))
             for i in range(7)
         )
         assert gap <= 2.0 * tree.dt * direct.value.scale()

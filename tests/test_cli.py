@@ -466,6 +466,11 @@ CONFIGURED_WITH_DRIVER = textwrap.dedent(
     """
 )
 
+CLASSIC_STUDY_WITH_DRIVER = CONFIGURED_WITH_DRIVER.replace(
+    "kind = solve\ndepth = 2\nmethod = both\n",
+    "kind = penalize\ndepth = 2\nmode = classic_vs_transformed\nlevels = 1,4,16\n",
+)
+
 
 class TestConfiguredScenarios:
     def section(self, tmp_path, text):
@@ -513,6 +518,27 @@ class TestConfiguredScenarios:
         config = write_config(tmp_path, text)
         assert main(["solve", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
         assert "lower-bound violation detected on samples" in capsys.readouterr().err
+
+    def test_the_classic_study_rejects_a_bound_above_the_generator(self, tmp_path, capsys):
+        text = CLASSIC_STUDY_WITH_DRIVER + "bound = 5, 5\n"
+        config = write_config(tmp_path, text)
+        assert main(["penalize", "--config", config, "--out-dir", str(tmp_path / "o")]) == 2
+        assert "lower-bound violation detected on samples" in capsys.readouterr().err
+        sc = scenario_from_config(self.section(tmp_path, text), make_tree(2, 1.0))
+        data = (sc.terminal, sc.gen, sc.driver, sc.barrier, [1, 4, 16])
+        with pytest.raises(ValueError, match="lower-bound violation detected on samples"):
+            convergence_study(*data, mode="classic_vs_transformed", bound=sc.bound)
+
+    def test_the_classic_study_accepts_a_bound_below_the_generator(self, tmp_path):
+        text = CLASSIC_STUDY_WITH_DRIVER + "bound = -5, -4\n"
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert main(["penalize", "--config", config, "--out-dir", str(out)]) == 0
+        assert read_rows(out / "summary.csv")[0]["status"] == "pass"
+        sc = scenario_from_config(self.section(tmp_path, text), make_tree(2, 1.0))
+        data = (sc.terminal, sc.gen, sc.driver, sc.barrier, [1, 4, 16])
+        study = convergence_study(*data, mode="classic_vs_transformed", bound=sc.bound)
+        assert [row.n for row in study.rows] == [1, 4, 16]
 
     @pytest.mark.parametrize("row", ["nan,nan", "-inf,-inf", "0,inf"])
     def test_a_non_finite_bound_is_rejected_by_name(self, tmp_path, capsys, row):

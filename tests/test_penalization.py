@@ -141,7 +141,7 @@ class TestStepOneBarrier:
         sc = random_scenario(rng, depth=5, name="step")
         sol = solve_penalized(sc.terminal, sc.gen, sc.driver, sc.barrier, 8)
         stepped = step_one_barrier(sol, sc.barrier)
-        report = verify_solution(sol.as_triple(), sc.terminal, sc.gen, sc.driver, stepped)
+        report = verify_solution(sol, sc.terminal, sc.gen, sc.driver, stepped)
         assert report.max_residual() <= 1e-10 * sol.value.scale()
         assert report.domination_margin >= -1e-12 * sol.value.scale()
 
@@ -190,12 +190,14 @@ class TestConvergenceStudy:
         assert gaps[-1] < 0.2 * gaps[0]
         for row in study.rows:
             assert row.monotonicity_violation == 0.0
-        # the same floor unwidened lets the classic solves overshoot the reference
+        # the same floor unwidened lies above f along the reference, so as a
+        # supplied floor it is rejected rather than let the classic solves
+        # overshoot the reference
         rows = default_lower_bound(terminal, gen, driver, barrier)
-        unguarded = convergence_study(
-            terminal, gen, driver, barrier, levels, mode="classic_vs_transformed", bound=rows
-        )
-        assert max(row.monotonicity_violation for row in unguarded.rows) > 0.1
+        with pytest.raises(ValueError, match="violation at the reference solution"):
+            convergence_study(
+                terminal, gen, driver, barrier, levels, mode="classic_vs_transformed", bound=rows
+            )
 
     def test_a_planted_rise_is_reported_as_a_monotonicity_violation(self, rng, monkeypatch):
         sc = random_scenario(rng, depth=4, name="planted")

@@ -154,7 +154,7 @@ def assert_same_bytes(got, want):
 
 
 def penalized_arrays(sol):
-    return solution_arrays(sol.value, sol.integrand, sol.as_triple().increments)
+    return solution_arrays(sol.value, sol.integrand, sol.increments)
 
 
 def reduction_reference(sc):

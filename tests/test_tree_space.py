@@ -238,7 +238,7 @@ class TestExpectedReward:
         tree = small_tree(2)
         terminal = rng.standard_normal(4)
         barrier = AdaptedRegulatedProcess.zeros(tree)
-        running = AdaptedRegulatedProcess.constant(tree, 0.75)
+        running = np.full(3, 0.75)
         plan = ("cont", ("cont", ("point",), ("point",)), ("cont", ("point",), ("point",)))
         reward = expected_reward(tree, StoppingRule(0, plan), running, barrier, terminal)
         assert reward == pytest.approx(tree.expectation(terminal) + 0.75, abs=1e-14)
@@ -258,7 +258,7 @@ class TestExpectedReward:
         driver = random_process(tree, rng)
         terminal = rng.standard_normal(4)
         for rule in enumerate_stopping_rules(tree):
-            fast = expected_reward(tree, rule, running, barrier, terminal, driver)
+            fast = expected_reward(tree, rule, running.rights, barrier, terminal, driver)
             slow = replay_reward(tree, rule, running, barrier, terminal, driver)
             assert fast == pytest.approx(slow, abs=1e-12)
 
@@ -267,6 +267,13 @@ class TestExpectedReward:
         barrier = AdaptedRegulatedProcess.zeros(tree)
         with pytest.raises(ValueError, match="leaves"):
             expected_reward(tree, StoppingRule(0, ("point",)), None, barrier, [0.0, 0.0])
+
+    def test_rejects_a_running_reward_off_the_heap(self):
+        tree = small_tree(2)
+        barrier = AdaptedRegulatedProcess.zeros(tree)
+        rule = StoppingRule(0, ("point",))
+        with pytest.raises(ValueError, match="running reward must have 3"):
+            expected_reward(tree, rule, np.zeros(2), barrier, np.zeros(4))
 
     def test_rejects_continuing_past_the_horizon(self):
         tree = small_tree(1)
@@ -282,26 +289,26 @@ class TestRuleValueFields:
         driver = random_process(tree, rng)
         running = random_process(tree, rng)
         terminal = rng.standard_normal(8)
-        point, right = rule_value_fields(tree, barrier, terminal, driver, running.right)
+        fields = rule_value_fields(tree, barrier, terminal, driver, running.rights)
         rules = enumerate_stopping_rules(tree)
         rewards = [
-            expected_reward(tree, rule, running, barrier, terminal, driver) for rule in rules
+            expected_reward(tree, rule, running.rights, barrier, terminal, driver) for rule in rules
         ]
-        assert point[0][0] == pytest.approx(max(rewards), abs=1e-12)
+        assert fields.point[0][0] == pytest.approx(max(rewards), abs=1e-12)
         delayed = [
             reward
             for rule, reward in zip(rules, rewards)
             if rule.plan != ("point",)
         ]
         dplus = driver.delta_plus(0)[0]
-        assert right[0][0] == pytest.approx(max(delayed) - dplus, abs=1e-12)
+        assert fields.right[0][0] == pytest.approx(max(delayed) - dplus, abs=1e-12)
 
     def test_matches_rule_enumeration_at_inner_nodes(self, rng):
         tree = small_tree(3)
         barrier = random_process(tree, rng)
         driver = random_process(tree, rng)
         terminal = rng.standard_normal(8)
-        point, _ = rule_value_fields(tree, barrier, terminal, driver)
+        point = rule_value_fields(tree, barrier, terminal, driver).point
         for node in range(2):
             rewards = [
                 expected_reward(tree, rule, None, barrier, terminal, driver, node=node)
@@ -313,17 +320,16 @@ class TestRuleValueFields:
         tree = small_tree(2)
         barrier = random_process(tree, rng)
         terminal = rng.standard_normal(4)
-        point, _ = rule_value_fields(tree, barrier, terminal)
-        np.testing.assert_array_equal(point[2], terminal)
+        fields = rule_value_fields(tree, barrier, terminal)
+        np.testing.assert_array_equal(fields.point[2], terminal)
 
     def test_dominates_the_barrier(self, rng):
         tree = small_tree(3)
         barrier = random_process(tree, rng)
         terminal = barrier.point[3] + np.abs(rng.standard_normal(8))
-        point, right = rule_value_fields(tree, barrier, terminal)
-        for level in range(3):
-            assert np.all(point[level] >= barrier.point[level] - 1e-14)
-            assert np.all(right[level] >= barrier.right[level] - 1e-14)
+        fields = rule_value_fields(tree, barrier, terminal)
+        assert np.all(fields.points >= barrier.points - 1e-14)
+        assert np.all(fields.rights >= barrier.rights - 1e-14)
 
     def test_depth_cap(self):
         tree = build_tree(TimeGrid(1.0, ORACLE_DEPTH_CAP + 1))
@@ -360,7 +366,7 @@ class TestHeapLayout:
             assert np.shares_memory(trip.value.right[i], trip.value.rights)
             assert np.shares_memory(k.interval[i], k.intervals)
             assert np.shares_memory(k.right[i], k.rights)
-            assert np.shares_memory(trip.integrand[i], trip.integrand[0].base)
+            assert np.shares_memory(trip.integrand[i], trip.integrands)
         assert np.shares_memory(k.left[3], k.lefts)
 
     def test_from_levels_packs_in_heap_order(self):
@@ -381,6 +387,16 @@ class TestAdaptedRegulatedProcess:
         np.testing.assert_array_equal(proc.delta_plus(0), proc.right[0] - proc.point[0])
         np.testing.assert_array_equal(
             proc.delta_minus(1), proc.point[1] - np.repeat(proc.right[0], 2)
+        )
+
+    def test_flat_jumps_line_up_with_the_level_jumps(self, rng):
+        tree = small_tree(3)
+        proc = random_process(tree, rng)
+        np.testing.assert_array_equal(
+            proc.right_jumps(), np.concatenate([proc.delta_plus(i) for i in range(3)])
+        )
+        np.testing.assert_array_equal(
+            proc.left_jumps(), np.concatenate([proc.delta_minus(i) for i in range(1, 4)])
         )
 
     def test_algebra(self, rng):
