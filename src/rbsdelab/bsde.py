@@ -3,11 +3,12 @@
 The interval step is implicit in y: each level i solves the scalar equation
 y = E + f(i, y, z) dt per node, whose residual is strictly increasing when
 the generator's one-sided y-slope times the step stays below one, by Newton
-steps on the generator's declared y-slope inside a bisection bracket, or in
-closed form for a generator declared affine in y.  Left
-jumps of the driver are folded into the conditional-expectation input, right
-jumps are added back at the point, and the integrand Z comes from the exact
-one-step martingale representation.  :func:`backward_sweep` optionally
+steps on the generator's declared y-slope inside a bisection bracket, started
+at the closed-form root for a generator declared cubic in y, or in closed
+form for a generator declared affine in y.  Left jumps of the driver are
+folded into the conditional-expectation input, right jumps are added back at
+the point, and the integrand Z comes from the exact one-step martingale
+representation.  :func:`backward_sweep` optionally
 reflects on a floor inside the intervals (or penalizes below it) and on a
 floor at the points; the unreflected, reflected and penalized solvers and the
 Snell envelope are all calls of it.
@@ -62,6 +63,10 @@ class GeneratorSpec:
     f(i, y, z) = f(i, 0, z) + dy(i, z) y, so that ``dy`` does not depend on
     y, and f does not depend on y at all when ``dy`` is ``None``; the
     implicit step then evaluates f once and takes its root in closed form.
+    ``cubic`` declares f(i, y, z) = cubic y**3 + f(i, 0, z) + dy(i, 0, z) y
+    with a coefficient cubic <= 0 that depends on nothing; a nonzero one
+    needs ``dy`` and excludes ``affine``.  The implicit step then starts its
+    Newton steps at the closed-form root of that cubic.
     """
 
     name: str
@@ -70,6 +75,15 @@ class GeneratorSpec:
     monotone_y: float
     dy: Callable[[int, np.ndarray, np.ndarray], np.ndarray | float] | None = None
     affine: bool = False
+    cubic: float = 0.0
+
+    def __post_init__(self) -> None:
+        if not (np.isfinite(self.cubic) and self.cubic <= 0.0):
+            raise ValueError(f"generator {self.name} declares cubic = {self.cubic!r}, not <= 0")
+        if self.cubic != 0.0 and self.affine:
+            raise ValueError(f"generator {self.name} cannot be declared both affine and cubic")
+        if self.cubic != 0.0 and self.dy is None:
+            raise ValueError(f"generator {self.name} is declared cubic but has no dy")
 
     def __call__(self, level: int, y: np.ndarray, z: np.ndarray) -> np.ndarray:
         return np.asarray(self.fn(level, y, z), dtype=float)
@@ -113,7 +127,8 @@ def make_generator(spec: str) -> GeneratorSpec:
     Supported names: ``zero``, ``constant:<c>``, ``linear:<a>,<b>`` meaning
     f = a*y + b*z, and ``monotone_cubic:<mu>`` meaning f = -y**3 + mu*y,
     evaluated as -(y*y*y) + mu*y.  The linear and cubic ones declare their
-    y-slope, and all but the cubic are declared affine.  Every coefficient
+    y-slope; all but the cubic are declared affine, and the cubic is declared
+    cubic with coefficient -1.  Every coefficient
     must be a finite number.  Node-dependent tables are built with
     :func:`table_generator` instead.
     """
@@ -136,6 +151,7 @@ def make_generator(spec: str) -> GeneratorSpec:
             0.0,
             mu,
             lambda level, y, z: mu - 3.0 * y * y,
+            cubic=-1.0,
         )
     raise ValueError(f"unknown generator {spec!r}")
 
@@ -193,8 +209,9 @@ def validate_generator(
     ValueError
         If a sampled pair violates the z-Lipschitz bound or the one-sided
         y-monotonicity bound beyond ``tol``, a declared y-slope differs
-        from a central difference of ``fn``, or an affine declaration fails:
-        a flat driver's value or an affine driver's y-slope moves with y.
+        from a central difference of ``fn``, or an affine or cubic
+        declaration fails: a flat driver's value, an affine driver's y-slope
+        or a cubic driver's f - f(0) - dy(0) y - cubic y**3 moves with y.
     """
 
     def at(fn, level: int, y: float, z: float) -> float:
@@ -219,6 +236,12 @@ def validate_generator(
                 raise ValueError(f"generator {gen.name} declares a wrong y-slope")
             if gen.affine and abs(declared - at(gen.dy, level, y2, z)) > tol:
                 raise ValueError(f"generator {gen.name} is declared affine but its y-slope moves")
+        if gen.cubic != 0.0:
+            # f - f(0) - dy(0) y - cubic y**3 at y minus the same at y2
+            b = at(gen.dy, level, 0.0, z)
+            moved = fy - fy2 - b * (y - y2) - gen.cubic * (y**3 - y2**3)
+            if abs(moved) > 1e-12 * (abs(fy) + abs(fy2)) + tol:
+                raise ValueError(f"generator {gen.name} declares a wrong cubic coefficient")
 
 
 def check_contraction(gen: GeneratorSpec, tree: TreeSpace) -> None:
@@ -254,7 +277,9 @@ def implicit_interval_step(
     (1 + n dt) y = cond + f dt + n dt floor instead.  A generator declared
     ``affine`` is evaluated once, at ``cond``, and both roots are taken in
     closed form: the update itself where the slope is zero, which is where
-    the Newton steps end for a flat generator, bit for bit.  If the result
+    the Newton steps end for a flat generator, bit for bit.  For a generator
+    declared ``cubic`` the Newton steps start at the closed-form roots of
+    its cubic, which f and ``dy`` at y = 0 determine.  If the result
     misses the residual tolerance, bisection on the full update is the last
     resort.  With ``gen=None``, meaning f = 0, the update of ``cond`` is the
     root, bit for bit the zero generator's (cond + 0.0 turns -0.0 into +0.0).
@@ -315,10 +340,18 @@ def implicit_interval_step(
         if gen.affine:
             y, relaxed = _affine_roots(drift(cond), drift_slope(cond), cond, floor, n_dt)
         else:
-            y = _newton_root(drift, drift_slope, cond, slope)
+            start, relaxed_start = cond, None
+            if gen.cubic != 0.0:
+                start, relaxed_start = _cubic_seeds(
+                    gen.cubic * dt, drift, drift_slope, cond, floor, n_dt
+                )
+            y = _newton_root(drift, drift_slope, start, slope)
             if penalty > 0.0:
                 relaxed = _newton_root(
-                    lambda v: relax(drift(v)), lambda v: drift_slope(v) / (1.0 + n_dt), y, slope
+                    lambda v: relax(drift(v)),
+                    lambda v: drift_slope(v) / (1.0 + n_dt),
+                    y if relaxed_start is None else relaxed_start,
+                    slope,
                 )
         if penalty > 0.0:
             y = np.where(y < floor, relaxed, y)
@@ -350,6 +383,36 @@ def _affine_roots(u: np.ndarray, du, start: np.ndarray, floor: np.ndarray | None
         return y, None
     exact = (u - du * start + n_dt * floor) / (1.0 + n_dt - du)
     return y, np.where(flat, (u + n_dt * floor) / (1.0 + n_dt), exact)
+
+
+def _cubic_seeds(a_dt: float, update, update_slope, start: np.ndarray, floor, n_dt: float):
+    """Closed-form roots of y = update(y) for an update cubic in y, plain and penalized.
+
+    ``update`` and ``update_slope`` are evaluated once, at y = 0, which
+    gives the update as u0 + b_dt y + a_dt y**3 with ``a_dt`` < 0.  The
+    plain root solves -a_dt y**3 + (1 - b_dt) y - u0 = 0, the penalized one
+    -a_dt y**3 + (1 + n_dt - b_dt) y - (u0 + n_dt floor) = 0 (``None`` for
+    ``n_dt`` = 0).  Divided by -a_dt each is y**3 + p y + q = 0, whose one
+    real root for p > 0 is -2 r sinh(asinh(1.5 q / (p r)) / 3) with
+    r = sqrt(p / 3).  Each seed is rounded to 27 significant bits: the last
+    bits of sinh and asinh differ between numpy builds, Newton steps from
+    starts one ulp apart can stop one ulp apart, and one Newton step
+    restores the bits dropped.  Where a seed is not finite it is ``start``.
+    """
+    zero = np.zeros_like(start)
+    u0, b_dt = update(zero), update_slope(zero)
+
+    def root(linear, constant):
+        p = linear / -a_dt
+        q = constant / a_dt
+        r = np.sqrt(p / 3.0)
+        y = -2.0 * r * np.sinh(np.arcsinh(1.5 * q / (p * r)) / 3.0)
+        split = y * 67108865.0  # 2**26 + 1: Veltkamp's split keeps the high 27 bits
+        y = split - (split - y)
+        return np.where(np.isfinite(y), y, start)
+
+    relaxed = None if n_dt == 0.0 else root(1.0 + n_dt - b_dt, u0 + n_dt * floor)
+    return root(1.0 - b_dt, u0), relaxed
 
 
 def _newton_root(update, update_slope, start: np.ndarray, slope: float) -> np.ndarray:
@@ -612,12 +675,14 @@ def exponential_transform(
     The transformed generator is exp(a t) f(i, exp(-a t) y, exp(-a t) z) - a y
     at level i with t = ``tree.time(i)``, which keeps the z-Lipschitz constant
     and the affine declaration and shifts the y-monotonicity constant and the
-    y-slope down by ``rate``.  Driver jumps scale by the factor at their own
-    instant; barrier interval values scale by the factor at the interval's
-    left end.  The components of ``solution`` are scaled the same way
-    (increments of the reflecting process by the factor at the instant they
-    charge).  The scaled candidate solves the transformed problem up to a
-    first-order defect in the step size.
+    y-slope down by ``rate``.  It declares no cubic coefficient: the image of
+    cubic y**3 is cubic exp(-2 a t) y**3, which moves with the level.  Driver
+    jumps scale by the factor at their own instant; barrier interval values
+    scale by the factor at the interval's left end.  The components of
+    ``solution`` are scaled the same way (increments of the reflecting
+    process by the factor at the instant they charge).  The scaled candidate
+    solves the transformed problem up to a first-order defect in the step
+    size.
     """
     tree = driver.tree
     a = float(rate)

@@ -336,9 +336,6 @@ class StoppingRule:
     from_level: int
     plan: tuple
 
-    def mode(self) -> str:
-        return self.plan[0]
-
 
 def conditional_expectation(tree: TreeSpace, child_values: np.ndarray) -> np.ndarray:
     """One-step conditional expectation: the mean of each sibling pair.

@@ -1,7 +1,12 @@
+import dataclasses
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from rbsdelab.bsde import make_generator
+from rbsdelab.penalization import solve_penalized
+from rbsdelab.rbsde import solve_reflected_direct
 from rbsdelab.scenarios import random_scenario
 from rbsdelab.tree_space import AdaptedRegulatedProcess
 
@@ -37,3 +42,34 @@ def climbing_scenario():
         [np.full(1 << i, 3.0 * i + 3.0) for i in range(depth)],
     )
     return sc.terminal, sc.gen, driver, sc.barrier
+
+
+def solution_bytes(sol):
+    k = sol.increments
+    return [a.tobytes() for a in (sol.value.points, sol.value.rights, *sol.integrand)] + [
+        a.tobytes() for a in (k.intervals, k.lefts, k.rights)
+    ]
+
+
+def counted(gen):
+    """``gen`` with its ``fn`` and ``dy`` calls counted."""
+    calls = Counter()
+
+    def fn(level, y, z):
+        calls["fn"] += 1
+        return gen.fn(level, y, z)
+
+    def dy(level, y, z):
+        calls["dy"] += 1
+        return gen.dy(level, y, z)
+
+    return dataclasses.replace(gen, fn=fn, dy=None if gen.dy is None else dy), calls
+
+
+SOLVES = {
+    "reflected": lambda sc: solve_reflected_direct(sc.terminal, sc.gen, sc.driver, sc.barrier),
+    "penalized": lambda sc: solve_penalized(sc.terminal, sc.gen, sc.driver, sc.barrier, 64),
+    "classic": lambda sc: solve_penalized(
+        sc.terminal, sc.gen, sc.driver, sc.barrier, 64, scheme="classic"
+    ),
+}

@@ -24,35 +24,12 @@ from rbsdelab.bsde import (
     validate_generator,
 )
 from rbsdelab.cli import RESIDUAL_TOL
-from rbsdelab.penalization import solve_penalized
-from rbsdelab.rbsde import solve_reflected_direct, solve_via_reduction
+from rbsdelab.rbsde import solve_via_reduction
 from rbsdelab.scenarios import make_tree, random_scenario
 
+from conftest import SOLVES, counted, solution_bytes
+
 DEPTH = 8
-
-
-def counted(gen):
-    """``gen`` with its ``fn`` and ``dy`` calls counted."""
-    calls = Counter()
-
-    def fn(level, y, z):
-        calls["fn"] += 1
-        return gen.fn(level, y, z)
-
-    def dy(level, y, z):
-        calls["dy"] += 1
-        return gen.dy(level, y, z)
-
-    return dataclasses.replace(gen, fn=fn, dy=None if gen.dy is None else dy), calls
-
-
-SOLVES = {
-    "reflected": lambda sc: solve_reflected_direct(sc.terminal, sc.gen, sc.driver, sc.barrier),
-    "penalized": lambda sc: solve_penalized(sc.terminal, sc.gen, sc.driver, sc.barrier, 64),
-    "classic": lambda sc: solve_penalized(
-        sc.terminal, sc.gen, sc.driver, sc.barrier, 64, scheme="classic"
-    ),
-}
 
 
 class TestCallCounts:
@@ -100,13 +77,6 @@ class TestCallCounts:
         y, f = implicit_interval_step(None, 3, cond, z, 0.125, floor=floor)
         assert f == 0.0
         assert y.tobytes() == np.maximum(cond + 0.0, floor).tobytes()
-
-
-def solution_bytes(sol):
-    k = sol.increments
-    return [a.tobytes() for a in (sol.value.points, sol.value.rights, *sol.integrand)] + [
-        a.tobytes() for a in (k.intervals, k.lefts, k.rights)
-    ]
 
 
 def flat_generator(spec, tree, rng):
@@ -201,7 +171,7 @@ class TestFalseDeclarations:
 
     def test_an_affine_generator_must_have_a_constant_slope(self, rng):
         cubic = make_generator("monotone_cubic:0.3")
-        lying = dataclasses.replace(cubic, affine=True)
+        lying = dataclasses.replace(cubic, affine=True, cubic=0.0)
         with pytest.raises(ValueError, match="declared affine"):
             validate_generator(lying, rng)
 
@@ -218,7 +188,7 @@ class TestFalseDeclarations:
             return bisect(*args)
 
         monkeypatch.setattr(bsde, "_bisect_step", spy)
-        lying = dataclasses.replace(sc, gen=dataclasses.replace(cubic, affine=True))
+        lying = dataclasses.replace(sc, gen=dataclasses.replace(cubic, affine=True, cubic=0.0))
         sol = SOLVES[form](lying)
         # one Newton step misses the cubic's root, so the bisection must have run
         assert len(fallbacks) > 0
