@@ -45,7 +45,6 @@ from .ito_regulated import (
     serialize_path_csv,
 )
 from .scenarios import (
-    Scenario,
     cadlag_scenario,
     equal_barrier_pair,
     load_config,
@@ -154,16 +153,18 @@ def _status(ok: bool) -> str:
 _POINT_ROW = ",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 # No right value, integrand, interval charge or right jump after the horizon.
 _TERMINAL_ROW = ",%.17g,,,,%.17g,\n"
+_BLOCK_ROWS = 4096
 
 
-def _solution_rows(name: str, scenario: Scenario, sol) -> Iterator[str]:
-    """The ``results.csv`` rows of one solved scenario, one text block per level.
+def _solution_rows(name: str, sol) -> Iterator[str]:
+    """The ``results.csv`` rows of one solution, one text part per block of rows.
 
-    Each level is formatted column-wise: its arrays become Python floats
-    once, and one ``%`` template per level renders every node of it.  Only
-    one level's text exists at a time.
+    Each level is formatted column-wise in blocks of at most ``_BLOCK_ROWS``
+    nodes: a block's slice of the columns becomes Python floats at once,
+    and the level's one ``%`` template renders every node of it.  Only one
+    block's text exists at a time, whatever the depth.
     """
-    tree = scenario.tree
+    tree = sol.value.tree
     times = tree.grid.times()
     value, k = sol.value, sol.increments
     for level in range(tree.depth + 1):
@@ -182,22 +183,10 @@ def _solution_rows(name: str, scenario: Scenario, sol) -> Iterator[str]:
             cells = _POINT_ROW
         prefix = f"{name},{level},".replace("%", "%%")
         template = prefix + "%d," + _fmt(times[level]) + cells
-        rows = zip(range(tree.n_nodes(level)), *(column.tolist() for column in columns))
-        yield "".join(map(template.__mod__, rows))
-
-
-def _solve_scenarios(cfg: configparser.ConfigParser, seed: int) -> list[Scenario]:
-    exp = cfg["experiment"]
-    depth = exp.getint("depth", 3)
-    horizon = exp.getfloat("horizon", 1.0)
-    if "scenario" in cfg:
-        tree = make_tree(depth, horizon)
-        return [scenario_from_config(cfg["scenario"], tree, name="configured-000")]
-    count = exp.getint("count", 12)
-    return [
-        random_scenario(_scenario_rng(seed, i), depth, horizon, name=f"random-{i:03d}")
-        for i in range(count)
-    ]
+        for start in range(0, tree.n_nodes(level), _BLOCK_ROWS):
+            block = slice(start, start + _BLOCK_ROWS)
+            rows = zip(range(start, block.stop), *(column[block].tolist() for column in columns))
+            yield "".join(map(template.__mod__, rows))
 
 
 def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
@@ -205,9 +194,20 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
     method = exp.get("method", "both")
     if method not in ("direct", "reduction", "both"):
         raise ValueError(f"unknown method {method!r}")
-    scenarios = _solve_scenarios(cfg, seed)
+    depth = exp.getint("depth", 3)
+    horizon = exp.getfloat("horizon", 1.0)
+    configured = "scenario" in cfg
+    count = 1 if configured else exp.getint("count", 12)
 
-    def work(scenario: Scenario):
+    def work(index: int):
+        # Each worker builds the scenario it solves, so a batch never holds
+        # more instances than there are workers.
+        if configured:
+            tree = make_tree(depth, horizon)
+            scenario = scenario_from_config(cfg["scenario"], tree, name="configured-000")
+        else:
+            rng = _scenario_rng(seed, index)
+            scenario = random_scenario(rng, depth, horizon, name=f"random-{index:03d}")
         data = (scenario.terminal, scenario.gen, scenario.driver, scenario.barrier)
         try:
             gap = None
@@ -243,17 +243,17 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
                 _status(ok),
             ]
         )
-        return ok, sol, summary
+        return scenario.name, ok, sol, summary
 
     outcomes = []
 
     def parts():
-        # Rows are formatted here, by the writer, one level at a time, so the
+        # Rows are formatted here, by the writer, one block at a time, so the
         # text held at once does not depend on the workers' timing.
         yield "scenario,level,node,time,y_point,y_right,z,k_interval,k_left,k_right\n"
-        for scenario, (ok, sol, summary) in zip(scenarios, _map_ordered(work, scenarios, jobs)):
+        for name, ok, sol, summary in _map_ordered(work, range(count), jobs):
             outcomes.append((ok, summary))
-            yield from _solution_rows(scenario.name, scenario, sol)
+            yield from _solution_rows(name, sol)
 
     _write_atomic(os.path.join(out_dir, "results.csv"), parts())
     summary_header = (
@@ -312,20 +312,17 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
     horizon = exp.getfloat("horizon", 1.0)
     mode = exp.get("mode", "modified")
     levels = [int(tok) for tok in exp.get("levels", "1,2,4,8,16,32,64").split(",")]
-    if "scenario" in cfg:
-        scenarios = [
-            scenario_from_config(cfg["scenario"], make_tree(depth, horizon), name="configured-000")
-        ]
-    else:
-        count = exp.getint("count", 1)
-        builder = cadlag_scenario if exp.getboolean("cadlag", False) else random_scenario
-        scenarios = [
-            builder(_scenario_rng(seed, i), depth, name=f"study-{i:03d}")
-            for i in range(count)
-        ]
+    configured = "scenario" in cfg
+    count = 1 if configured else exp.getint("count", 1)
+    cadlag = not configured and exp.getboolean("cadlag", False)
 
-    def work(item):
-        index, scenario = item
+    def work(index: int):
+        if configured:
+            tree = make_tree(depth, horizon)
+            scenario = scenario_from_config(cfg["scenario"], tree, name="configured-000")
+        else:
+            builder = cadlag_scenario if cadlag else random_scenario
+            scenario = builder(_scenario_rng(seed, index), depth, name=f"study-{index:03d}")
         try:
             study = convergence_study(
                 scenario.terminal,
@@ -353,15 +350,15 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
                 _status(ok),
             ]
         )
-        return ok, index, table, summary
+        return ok, table, summary
 
-    results = list(_map_ordered(work, enumerate(scenarios), jobs))
-    for _, index, table, _ in results:
+    results = list(_map_ordered(work, range(count), jobs))
+    for index, (_, table, _) in enumerate(results):
         _write_atomic(os.path.join(out_dir, f"study_{index:03d}.csv"), [table])
     lines = ["scenario,final_n,final_sup_gap_Y,monotonicity_violation,rate,status"]
-    lines += [summary for _, _, _, summary in results]
+    lines += [summary for _, _, summary in results]
     _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
-    return all(ok for ok, _, _, _ in results)
+    return all(ok for ok, _, _ in results)
 
 
 def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:

@@ -31,18 +31,28 @@ __all__ = [
 
 @dataclass
 class MertensDecomposition:
-    """Envelope Y with its martingale part and increasing part.
+    """Envelope Y with its representation integrand and increasing part.
 
-    ``martingale[i]`` holds M(t_i) per node with M(0) = 0; M has no right
-    jumps and its left jump at t_{i+1} is Z(t_i) times the revealed noise
-    increment.  Pathwise, Y(t) = Y(0) + M(t) - K(t) at points and right
-    limits.
+    Pathwise, Y(t) = Y(0) + M(t) - K(t) at points and right limits, where
+    the martingale part M is built on request by :meth:`martingale`.
     """
 
     envelope: AdaptedRegulatedProcess
-    martingale: list[np.ndarray]
     integrand: tuple[np.ndarray, ...]
     increasing: KIncrements
+
+    def martingale(self) -> list[np.ndarray]:
+        """M(t_i) per node, one array per level, with M(0) = 0.
+
+        M has no right jumps; its left jump at t_{i+1} is Z(t_i) times the
+        revealed noise increment.
+        """
+        tree = self.envelope.tree
+        levels = [np.zeros(1)]
+        for i in range(tree.depth):
+            step = np.repeat(self.integrand[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
+            levels.append(np.repeat(levels[i], 2) + step)
+        return levels
 
 
 def snell_envelope(barrier: AdaptedRegulatedProcess, terminal: np.ndarray) -> MertensDecomposition:
@@ -59,22 +69,12 @@ def snell_envelope(barrier: AdaptedRegulatedProcess, terminal: np.ndarray) -> Me
     Returns
     -------
     MertensDecomposition
-        Envelope, martingale part, representation integrand, and the
-        increasing process split into interval, left-jump, and right-jump
-        charges.
+        Envelope, representation integrand, and the increasing process split
+        into interval, left-jump, and right-jump charges.
     """
     tree = barrier.tree
     trip = backward_sweep(tree, terminal, None, None, floor=barrier.right, point_floor=barrier.point)
-    martingale = [np.zeros(1)]
-    for i in range(tree.depth):
-        step = np.repeat(trip.integrand[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
-        martingale.append(np.repeat(martingale[i], 2) + step)
-    return MertensDecomposition(
-        envelope=trip.value,
-        martingale=martingale,
-        integrand=trip.integrand,
-        increasing=trip.increments,
-    )
+    return MertensDecomposition(trip.value, trip.integrand, trip.increments)
 
 
 def minimality_residuals(

@@ -2,6 +2,7 @@ import dataclasses
 import re
 import textwrap
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +54,32 @@ def reference_solution_rows(name, scenario, sol):
             ]
             rows.append(",".join(cells))
     return rows
+
+
+def solve_config_scenarios(cfg):
+    """The scenarios a ``solve`` config names, built as its workers build them."""
+    exp = cfg["experiment"]
+    depth = exp.getint("depth", 3)
+    horizon = exp.getfloat("horizon", 1.0)
+    if "scenario" in cfg:
+        tree = make_tree(depth, horizon)
+        return [scenario_from_config(cfg["scenario"], tree, name="configured-000")]
+    seed = exp.getint("seed", 0)
+    return [
+        random_scenario(cli._scenario_rng(seed, i), depth, horizon, name=f"random-{i:03d}")
+        for i in range(exp.getint("count", 12))
+    ]
+
+
+def reference_results(config):
+    """``results.csv`` of a direct ``solve`` config, by the per-node formatter."""
+    rows = [SOLVE_HEADER]
+    for scenario in solve_config_scenarios(load_config(config)):
+        sol = solve_reflected_direct(
+            scenario.terminal, scenario.gen, scenario.driver, scenario.barrier
+        )
+        rows.extend(reference_solution_rows(scenario.name, scenario, sol))
+    return ("\n".join(rows) + "\n").encode()
 
 
 SOLVE_HEADER = "scenario,level,node,time,y_point,y_right,z,k_interval,k_left,k_right"
@@ -150,14 +177,20 @@ class TestSolveVerb:
         config = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert run_experiment(config, str(out), jobs=2) == 0
-        cfg = load_config(config)
-        rows = [SOLVE_HEADER]
-        for scenario in cli._solve_scenarios(cfg, cfg["experiment"].getint("seed", 0)):
-            sol = solve_reflected_direct(
-                scenario.terminal, scenario.gen, scenario.driver, scenario.barrier
-            )
-            rows.extend(reference_solution_rows(scenario.name, scenario, sol))
-        assert (out / "results.csv").read_bytes() == ("\n".join(rows) + "\n").encode()
+        assert (out / "results.csv").read_bytes() == reference_results(config)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize(
+        "text", [RANDOM_BATCH, CONFIGURED_SINGLE_STEP], ids=["random-batch", "configured-depth-1"]
+    )
+    def test_results_bytes_across_block_boundaries(self, tmp_path, monkeypatch, text, jobs):
+        # Three-row blocks split levels 2 and 3 of the depth-3 batch mid-level;
+        # the depth-1 tree keeps every level in one block.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        assert run_experiment(config, str(out), jobs=jobs) == 0
+        assert (out / "results.csv").read_bytes() == reference_results(config)
 
     def test_failing_scenario_leaves_no_results_file(self, tmp_path, monkeypatch):
         config = write_config(tmp_path, RANDOM_BATCH)
@@ -165,11 +198,11 @@ class TestSolveVerb:
         writing = []
         solution_rows = cli._solution_rows
 
-        def failing_rows(name, scenario, sol):
+        def failing_rows(name, sol):
             if name == "random-003":
                 writing.append((out / "results.csv.tmp").exists())
                 raise SolverError("planted failure")
-            return solution_rows(name, scenario, sol)
+            return solution_rows(name, sol)
 
         monkeypatch.setattr(cli, "_solution_rows", failing_rows)
         code = main(["solve", "--config", config, "--out-dir", str(out), "--jobs", "2"])
@@ -240,6 +273,42 @@ class TestSolveVerb:
         assert run_experiment(config, str(third), jobs=3) == 0
         assert tree_of_files(first) == tree_of_files(second)
         assert tree_of_files(first) == tree_of_files(third)
+
+
+def direct_solution(depth, seed=0):
+    sc = random_scenario(np.random.default_rng(seed), depth, name="rows")
+    return sc, solve_reflected_direct(sc.terminal, sc.gen, sc.driver, sc.barrier)
+
+
+class TestSolutionRows:
+    @pytest.mark.parametrize("depth, block_rows", [(5, 3), (5, 8), (13, None)])
+    def test_parts_hold_at_most_one_block(self, monkeypatch, depth, block_rows):
+        if block_rows is not None:
+            monkeypatch.setattr(cli, "_BLOCK_ROWS", block_rows)
+        sc, sol = direct_solution(depth)
+        parts = list(cli._solution_rows(sc.name, sol))
+        block = cli._BLOCK_ROWS
+        assert max(part.count("\n") for part in parts) == block
+        # every level splits into ceil(nodes / block) parts, the last one short
+        assert len(parts) == sum(-(-sc.tree.n_nodes(i) // block) for i in range(depth + 1))
+        expected = "\n".join(reference_solution_rows(sc.name, sc, sol)) + "\n"
+        assert "".join(parts) == expected
+
+    def test_text_held_is_flat_in_depth(self, monkeypatch):
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 256)
+
+        def drain_peak(depth):
+            sc, sol = direct_solution(depth)
+            tracemalloc.start()
+            try:
+                for _ in cli._solution_rows(sc.name, sol):
+                    pass
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        shallow, deep = drain_peak(10), drain_peak(12)
+        assert abs(deep - shallow) <= 0.1 * shallow, (shallow, deep)
 
 
 class TestPenalizeVerb:
@@ -726,6 +795,27 @@ class TestErrorHandling:
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("kind", ["solve", "penalize"])
+    def test_config_error_in_a_worker_is_a_usage_error(self, tmp_path, capsys, kind, jobs):
+        config = write_config(
+            tmp_path,
+            f"""\
+            [experiment]
+            kind = {kind}
+            depth = 2
+
+            [scenario]
+            barrier_point = 1 ; 2
+            terminal = 0
+            """,
+        )
+        out = tmp_path / "out"
+        assert main([kind, "--config", config, "--out-dir", str(out), "--jobs", str(jobs)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: barrier_point expects 3 level rows separated by ';', got 2\n"
+        assert sorted(out.iterdir()) == []
 
     def test_verb_is_required(self):
         with pytest.raises(SystemExit):

@@ -141,20 +141,22 @@ class TestEnvelopeProperties:
         dec = snell_envelope(barrier, terminal)
         y0 = dec.envelope.point[0][0]
         at_point, at_right = dec.increasing.cumulative()
+        martingale = dec.martingale()
         for i in range(6):
-            recon = y0 + dec.martingale[i] - at_point[i]
+            recon = y0 + martingale[i] - at_point[i]
             np.testing.assert_allclose(recon, dec.envelope.point[i], atol=1e-12)
         # the martingale part has no right jump, so only K moves at t_i+
         for i in range(5):
-            recon = y0 + dec.martingale[i] - at_right[i]
+            recon = y0 + martingale[i] - at_right[i]
             np.testing.assert_allclose(recon, dec.envelope.right[i], atol=1e-12)
 
     def test_integrand_represents_the_martingale_part(self, rng):
         tree = small_tree(4)
         barrier, terminal = dominated_barrier(tree, rng)
         dec = snell_envelope(barrier, terminal)
+        martingale = dec.martingale()
         for i in range(4):
-            step = dec.martingale[i + 1] - np.repeat(dec.martingale[i], 2)
+            step = martingale[i + 1] - np.repeat(martingale[i], 2)
             expected = np.repeat(dec.integrand[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
             np.testing.assert_allclose(step, expected, atol=1e-14)
 
