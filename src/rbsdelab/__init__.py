@@ -20,10 +20,9 @@ from .tree_space import (
 )
 from .snell import (
     KIncrements,
-    MertensDecomposition,
     snell_envelope,
     brute_force_snell,
-    verify_minimality,
+    minimality_residuals,
 )
 from .bsde import (
     GeneratorSpec,
@@ -80,10 +79,9 @@ __all__ = [
     "count_stopping_rules",
     "expected_reward",
     "KIncrements",
-    "MertensDecomposition",
     "snell_envelope",
     "brute_force_snell",
-    "verify_minimality",
+    "minimality_residuals",
     "GeneratorSpec",
     "SolverError",
     "make_generator",

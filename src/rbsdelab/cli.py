@@ -24,7 +24,7 @@ import numpy as np
 from .grid_path import TimeGrid
 from .tree_space import ORACLE_DEPTH_CAP
 from .bsde import SolverError
-from .snell import brute_force_snell, snell_envelope, verify_minimality
+from .snell import brute_force_snell, minimality_residuals, snell_envelope
 from .rbsde import (
     ReflectedProblem,
     compare_solutions,
@@ -45,7 +45,6 @@ from .ito_regulated import (
     serialize_path_csv,
 )
 from .scenarios import (
-    cadlag_scenario,
     equal_barrier_pair,
     load_config,
     make_tree,
@@ -276,12 +275,12 @@ def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bo
         rng = _scenario_rng(seed, index)
         if index % 2 == 0:
             scenario = snell_scenario(rng, depth, name=f"envelope-{index:03d}")
-            dec = snell_envelope(scenario.barrier, scenario.terminal)
+            envelope = snell_envelope(scenario.barrier, scenario.terminal)
             oracle = brute_force_snell(scenario.barrier, scenario.terminal)
-            cont, jump = verify_minimality(dec, scenario.barrier)
+            cont, jump = minimality_residuals(envelope, scenario.barrier)
             dev = max(
-                float(np.max(np.abs(dec.envelope.points - oracle.points))),
-                float(np.max(np.abs(dec.envelope.rights - oracle.rights))),
+                float(np.max(np.abs(envelope.value.points - oracle.points))),
+                float(np.max(np.abs(envelope.value.rights - oracle.rights))),
                 abs(cont),
                 abs(jump),
             )
@@ -321,8 +320,8 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
             tree = make_tree(depth, horizon)
             scenario = scenario_from_config(cfg["scenario"], tree, name="configured-000")
         else:
-            builder = cadlag_scenario if cadlag else random_scenario
-            scenario = builder(_scenario_rng(seed, index), depth, name=f"study-{index:03d}")
+            rng = _scenario_rng(seed, index)
+            scenario = random_scenario(rng, depth, horizon, name=f"study-{index:03d}", cadlag=cadlag)
         try:
             study = convergence_study(
                 scenario.terminal,

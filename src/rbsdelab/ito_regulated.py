@@ -513,7 +513,6 @@ def random_path(
     rng: np.random.Generator,
     x0: np.ndarray | None = None,
     cont_sigma: float = 0.3,
-    cont_drift: float = 0.0,
     jump_scale: float = 0.5,
     jump_rate: float = 0.25,
     jump_stride: int = 1,
@@ -529,7 +528,7 @@ def random_path(
     start = (
         rng.uniform(0.5, 1.5, size=d) if x0 is None else np.asarray(x0, dtype=float)
     )
-    cont = cont_sigma * np.sqrt(dt) * rng.standard_normal((n, d)) + cont_drift * dt
+    cont = cont_sigma * np.sqrt(dt) * rng.standard_normal((n, d))
     left = np.zeros((n + 1, d))
     right = np.zeros((n + 1, d))
     for i in range(n + 1):

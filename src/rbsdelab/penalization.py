@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .bsde import GeneratorSpec, SolutionTriple, backward_sweep
-from .rbsde import BOUND_SAMPLE_TOL, _bound_values, _check_bound_on_samples, _floor_shortfall
-from .rbsde import barrier_transform, default_lower_bound, solve_reflected_direct
+from .rbsde import barrier_transform, lower_bound_along, solve_reflected_direct
 from .tree_space import AdaptedRegulatedProcess, TreeSpace, _level_views
 
 __all__ = [
@@ -265,9 +264,9 @@ def convergence_study(
     mode : {"modified", "classic_vs_transformed"}
         The modified scheme is compared to the full solution at points and
         right limits.  The classic scheme is run against the regularized
-        barrier (built with ``bound``, or with the data-sized default floor
-        widened until it holds along the reference) and compared to the
-        right-limit field only, which is its limit.
+        barrier, built on the floor ``lower_bound_along`` gives along the
+        reference, and compared to the right-limit field only, which is its
+        limit.
 
     Raises
     ------
@@ -287,19 +286,8 @@ def convergence_study(
         scheme = "modified"
         right_only = False
     else:
-        # as the reduction does along its own solution, a supplied floor is
-        # checked and the data-sized one widened where f dips below it
-        if bound is None:
-            rows = default_lower_bound(terminal, gen, driver, barrier)
-        else:
-            rows = _bound_values(bound, tree.depth)
-            _check_bound_on_samples(gen, rows, tree, barrier, terminal, BOUND_SAMPLE_TOL)
-        worst = _floor_shortfall(gen, rows, reference)
-        if worst and bound is not None:
-            raise ValueError(f"lower-bound violation at the reference solution, by {worst:.3g}")
-        if worst:
-            rows = rows - (worst + 1.0)
-        target_barrier = barrier_transform(barrier, terminal, rows, driver).lhat
+        rows = lower_bound_along(reference, terminal, gen, driver, barrier, bound)
+        target_barrier = barrier_transform(barrier, terminal, rows, driver)
         scheme = "classic"
         right_only = True
 

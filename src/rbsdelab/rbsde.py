@@ -29,28 +29,30 @@ from .bsde import (
 )
 from .snell import minimality_residuals, snell_envelope
 from .tree_space import AdaptedRegulatedProcess, KIncrements, TreeSpace
-from .tree_space import _level_views, conditional_expectation, rule_value_fields
+from .tree_space import _level_views, rule_value_fields
 
 __all__ = [
     "KIncrements",
     "SolutionTriple",
     "VerificationReport",
-    "BarrierTransformResult",
     "ReflectedProblem",
     "ComparisonReport",
     "solve_reflected_direct",
     "verify_solution",
     "stopping_representation_check",
     "default_lower_bound",
+    "lower_bound_along",
     "barrier_transform",
     "solve_via_reduction",
     "compare_solutions",
     "solution_distance",
 ]
 
+BOUND_PAD = 1.0
 BOUND_MARGIN = 0.5
 BOUND_LATTICE = 129
 BOUND_SAMPLE_TOL = 1e-9
+ORDER_DATA_TOL = 1e-9
 ORDER_EQUALITY_TOL = 1e-13
 
 
@@ -127,15 +129,14 @@ def verify_solution(
     from the solver that produced them.
     """
     y = trip.value
-    k = trip.increments
     margin = min(np.min(y.points - barrier.points), np.min(y.rights - barrier.rights))
-    cont, jump = minimality_residuals(y, barrier, k)
+    cont, jump = minimality_residuals(trip, barrier)
     return VerificationReport(
         dynamics_residual=dynamics_residual(trip, terminal, gen, driver),
         domination_margin=float(margin),
         minimality_continuous=cont,
         minimality_right_jump=jump,
-        negative_charge=min(0.0, k.min_component()),
+        negative_charge=min(0.0, trip.increments.min_component()),
     )
 
 
@@ -169,42 +170,24 @@ def _sup_gap(a: np.ndarray, b: np.ndarray) -> float:
 # reduction route
 
 
-@dataclass
-class BarrierTransformResult:
-    """Supermartingale-regularized barrier together with its ingredients.
-
-    ``lhat`` dominates the input barrier, and its conditional left-limit
-    drift is controlled: at every interior node, E[lhat(t+) + V-jump | node]
-    plus the floor times dt stays below the interval value.  ``auxiliary``
-    is the unreflected solution absorbing the floor and the forcing.
-    """
-
-    lhat: AdaptedRegulatedProcess
-    auxiliary: SolutionTriple
-    bound: np.ndarray
-    domination_margin: float
-    left_limit_margin: float
-
-
 def default_lower_bound(
     terminal: np.ndarray,
     gen: GeneratorSpec,
     driver: AdaptedRegulatedProcess,
     barrier: AdaptedRegulatedProcess,
-    pad: float = 1.0,
 ) -> np.ndarray:
     """Deterministic per-interval floor of the generator, sized on the data.
 
     The floor at level i is the minimum of f(i, y, 0) over a lattice
     covering the barrier's point and right values and the payoff, widened by
-    ``pad``, lowered by the z-Lipschitz constant times the largest
+    ``BOUND_PAD``, lowered by the z-Lipschitz constant times the largest
     representable integrand and a safety margin.  The solution may leave
     that range, so callers confirm the floor along a solution and widen it
     where it fails (see ``solve_via_reduction``).
     """
     fields = (barrier.points, barrier.rights, terminal)
-    lo = min(float(np.min(a)) for a in fields) - pad
-    hi = max(float(np.max(a)) for a in fields) + pad
+    lo = min(float(np.min(a)) for a in fields) - BOUND_PAD
+    hi = max(float(np.max(a)) for a in fields) + BOUND_PAD
     return _bound_rows(gen, driver.tree, lo, hi)
 
 
@@ -224,63 +207,6 @@ def _generator_samples(gen: GeneratorSpec, level: int, ys: np.ndarray, zs: np.nd
     return gen(level, ys[:, None], zs[None, :])
 
 
-def barrier_transform(
-    barrier: AdaptedRegulatedProcess,
-    terminal: np.ndarray,
-    bound: np.ndarray,
-    driver: AdaptedRegulatedProcess,
-    gen: GeneratorSpec | None = None,
-    tol: float = BOUND_SAMPLE_TOL,
-) -> BarrierTransformResult:
-    """Replace the barrier by the smallest dominating reward envelope.
-
-    The auxiliary solution X solves the unreflected equation with generator
-    -bound and forcing -V, so X's jumps mirror V's and its drift absorbs the
-    floor.  The envelope of barrier + X, shifted back by X, dominates the
-    barrier and has nonpositive conditional left-limit drift after
-    accounting for the floor.  When ``gen`` is supplied, the floor is
-    validated against it on a sampled box first.
-
-    Raises
-    ------
-    ValueError
-        If the floor has the wrong length or a non-finite entry, or sampled
-        generator values fall below it.
-    """
-    tree = barrier.tree
-    n = tree.depth
-    rows = _bound_values(bound, n)
-    xi = np.asarray(terminal, dtype=float)
-
-    if gen is not None:
-        _check_bound_on_samples(gen, rows, tree, barrier, xi, tol)
-
-    # the auxiliary terminal takes the payoff's shape, so the sweep's leaf
-    # count check covers the payoff; the envelope checks its domination
-    neg_rows = [np.array([-rows[i]]) for i in range(n)]
-    aux = solve_bsde(
-        np.zeros_like(xi),
-        table_generator(tree, neg_rows, name="floor-absorber"),
-        -driver,
-    )
-    reward = barrier + aux.value
-    dec = snell_envelope(reward, xi + aux.value.point[n])
-    lhat = dec.envelope - aux.value
-
-    dom = min(np.min(lhat.points - barrier.points), np.min(lhat.rights - barrier.rights))
-    margin = -np.inf
-    for i in range(n):
-        cond = conditional_expectation(tree, lhat.point[i + 1] + driver.delta_minus(i + 1))
-        margin = max(margin, float(np.max(cond + rows[i] * tree.dt - lhat.right[i])))
-    return BarrierTransformResult(
-        lhat=lhat,
-        auxiliary=aux,
-        bound=rows,
-        domination_margin=float(dom),
-        left_limit_margin=float(margin),
-    )
-
-
 def _bound_values(bound: np.ndarray, n: int) -> np.ndarray:
     rows = np.asarray(bound, dtype=float).reshape(-1)
     if rows.shape[0] != n:
@@ -296,7 +222,6 @@ def _check_bound_on_samples(
     tree: TreeSpace,
     barrier: AdaptedRegulatedProcess,
     terminal: np.ndarray,
-    tol: float,
 ) -> None:
     lo = min(float(np.min(barrier.points)), float(np.min(terminal))) - 1.0
     hi = max(float(np.max(barrier.points)), float(np.max(terminal))) + 1.0
@@ -305,7 +230,7 @@ def _check_bound_on_samples(
     zs = np.linspace(-zcap, zcap, 9)
     for i in range(tree.depth):
         vals = _generator_samples(gen, i, ys, zs)
-        if float(np.min(vals)) < rows[i] - tol:
+        if float(np.min(vals)) < rows[i] - BOUND_SAMPLE_TOL:
             raise ValueError("lower-bound violation detected on samples")
 
 
@@ -317,6 +242,85 @@ def _floor_shortfall(gen: GeneratorSpec, rows: np.ndarray, trip: SolutionTriple)
     if worst <= 1e-9 * max(1.0, float(np.max(np.abs(rows)))):
         return 0.0
     return worst
+
+
+def _first_floor(
+    terminal: np.ndarray,
+    gen: GeneratorSpec,
+    driver: AdaptedRegulatedProcess,
+    barrier: AdaptedRegulatedProcess,
+    bound: np.ndarray | None,
+) -> np.ndarray:
+    """A supplied floor once it passes the sampled box, else the data-sized one."""
+    if bound is None:
+        return default_lower_bound(terminal, gen, driver, barrier)
+    rows = _bound_values(bound, driver.tree.depth)
+    _check_bound_on_samples(gen, rows, driver.tree, barrier, terminal)
+    return rows
+
+
+def _widened_floor(rows: np.ndarray, worst: float, bound: np.ndarray | None) -> np.ndarray:
+    """The floor lowered by ``worst`` + 1 where f fell short of it; a supplied one is rejected."""
+    if bound is not None:
+        raise ValueError(f"lower-bound violation at the realized solution, by {worst:.3g}")
+    return rows - (worst + 1.0)
+
+
+def lower_bound_along(
+    trip: SolutionTriple,
+    terminal: np.ndarray,
+    gen: GeneratorSpec,
+    driver: AdaptedRegulatedProcess,
+    barrier: AdaptedRegulatedProcess,
+    bound: np.ndarray | None,
+) -> np.ndarray:
+    """Generator floor that holds along ``trip``, by the reduction's rules.
+
+    A supplied ``bound`` is checked on the sampled box and then along
+    ``trip``; the data-sized default is widened once by its shortfall along
+    ``trip`` plus one.
+
+    Raises
+    ------
+    ValueError
+        If a supplied floor is not finite or f falls below it on the sampled
+        box or along ``trip``.
+    """
+    rows = _first_floor(terminal, gen, driver, barrier, bound)
+    worst = _floor_shortfall(gen, rows, trip)
+    return _widened_floor(rows, worst, bound) if worst else rows
+
+
+def barrier_transform(
+    barrier: AdaptedRegulatedProcess,
+    terminal: np.ndarray,
+    bound: np.ndarray,
+    driver: AdaptedRegulatedProcess,
+) -> AdaptedRegulatedProcess:
+    """Replace the barrier by the smallest dominating reward envelope.
+
+    The auxiliary solution X solves the unreflected equation with generator
+    -bound and forcing -V, so X's jumps mirror V's and its drift absorbs the
+    floor.  The envelope of barrier + X, shifted back by X, dominates the
+    barrier, and at every interior node its conditional left limit
+    E[lhat(t+) + V-jump | node] plus the floor times dt stays below its
+    interval value.  Only that regularized barrier is returned, so X does
+    not outlive the transform.
+
+    Raises
+    ------
+    ValueError
+        If the floor has the wrong length or a non-finite entry.
+    """
+    tree = barrier.tree
+    n = tree.depth
+    rows = _bound_values(bound, n)
+    xi = np.asarray(terminal, dtype=float)
+    # the auxiliary terminal takes the payoff's shape, so the sweep's leaf
+    # count check covers the payoff; the envelope checks its domination
+    absorber = table_generator(tree, [np.array([-r]) for r in rows], name="floor-absorber")
+    aux = solve_bsde(np.zeros_like(xi), absorber, -driver).value
+    return snell_envelope(barrier + aux, xi + aux.point[n]).value - aux
 
 
 def solve_via_reduction(
@@ -346,26 +350,16 @@ def solve_via_reduction(
     if barrier.tree is not tree:
         raise ValueError("driver and barrier live on different trees")
 
-    user_bound = bound is not None
-    rows = (
-        _bound_values(bound, tree.depth)
-        if user_bound
-        else default_lower_bound(terminal, gen, driver, barrier)
-    )
+    rows = _first_floor(terminal, gen, driver, barrier, bound)
     for _ in range(3):
-        result = barrier_transform(
-            barrier, terminal, rows, driver, gen=gen if user_bound else None
-        )
         # lhat's right-limit field is a right-continuous barrier, so it is
         # both the interval and the left-limit floor
-        lhat = result.lhat
+        lhat = barrier_transform(barrier, terminal, rows, driver)
         trip = backward_sweep(tree, terminal, gen, driver, floor=lhat.right, point_floor=lhat.point)
         worst = _floor_shortfall(gen, rows, trip)
         if not worst:
             return trip
-        if user_bound:
-            raise ValueError(f"lower-bound violation at the realized solution, by {worst:.3g}")
-        rows = rows - (worst + 1.0)
+        rows = _widened_floor(rows, worst, bound)
     raise ValueError(f"lower-bound violation after widening the floor, by {worst:.3g}")
 
 
@@ -404,9 +398,7 @@ class ComparisonReport:
     second: SolutionTriple | None = None
 
 
-def compare_solutions(
-    first: ReflectedProblem, second: ReflectedProblem, tol: float = 1e-9
-) -> ComparisonReport:
+def compare_solutions(first: ReflectedProblem, second: ReflectedProblem) -> ComparisonReport:
     """Solve both problems and report the order of solutions and charges.
 
     Requires the second problem to dominate the first: terminal values,
@@ -417,23 +409,24 @@ def compare_solutions(
     tree = first.driver.tree
     if second.driver.tree is not tree:
         return ComparisonReport(valid=False, reason="problems live on different trees")
-    if float(np.max(first.terminal - second.terminal)) > tol:
+    if float(np.max(first.terminal - second.terminal)) > ORDER_DATA_TOL:
         return ComparisonReport(valid=False, reason="terminal values are not ordered")
     d1, d2 = first.driver, second.driver
-    if float(np.max(d1.right_jumps() - d2.right_jumps())) > tol:
+    if float(np.max(d1.right_jumps() - d2.right_jumps())) > ORDER_DATA_TOL:
         return ComparisonReport(valid=False, reason="driver right jumps are not ordered")
-    if float(np.max(d1.left_jumps() - d2.left_jumps())) > tol:
+    if float(np.max(d1.left_jumps() - d2.left_jumps())) > ORDER_DATA_TOL:
         return ComparisonReport(valid=False, reason="driver left jumps are not ordered")
     point_gap = first.barrier.points - second.barrier.points
     right_gap = first.barrier.rights - second.barrier.rights
-    if max(np.max(point_gap), np.max(right_gap)) > tol:
+    if max(np.max(point_gap), np.max(right_gap)) > ORDER_DATA_TOL:
         return ComparisonReport(valid=False, reason="barriers are not ordered")
     barrier_gap = float(max(np.max(np.abs(point_gap)), np.max(np.abs(right_gap))))
 
     sol1 = solve_reflected_direct(first.terminal, first.gen, first.driver, first.barrier)
     sol2 = solve_reflected_direct(second.terminal, second.gen, second.driver, second.barrier)
 
-    if float(np.max(generator_values(first.gen, sol2) - generator_values(second.gen, sol2))) > tol:
+    gen_gap = generator_values(first.gen, sol2) - generator_values(second.gen, sol2)
+    if float(np.max(gen_gap)) > ORDER_DATA_TOL:
         return ComparisonReport(
             valid=False, reason="generators are not ordered along the second solution"
         )

@@ -73,7 +73,6 @@ def make_tree(depth: int, horizon: float = DEFAULT_HORIZON) -> TreeSpace:
 def random_process(
     tree: TreeSpace,
     rng: np.random.Generator,
-    center: float = 0.0,
     spread: float = 1.0,
     jump_rate: float = 0.6,
     jump_scale: float = 0.8,
@@ -81,14 +80,11 @@ def random_process(
 ) -> AdaptedRegulatedProcess:
     """Adapted regulated process with independent node draws.
 
-    Point values are uniform around ``center``; right values add a sparse
+    Point values are uniform around zero; right values add a sparse
     jump unless ``cadlag`` forces them equal to the point values.  Left
     jumps arise implicitly from the independent draws at the next level.
     """
-    point = [
-        center + rng.uniform(-spread, spread, tree.n_nodes(i))
-        for i in range(tree.depth + 1)
-    ]
+    point = [rng.uniform(-spread, spread, tree.n_nodes(i)) for i in range(tree.depth + 1)]
     right = []
     for i in range(tree.depth):
         if cadlag:
@@ -172,22 +168,13 @@ def random_scenario(
     name: str = "scenario",
     gen: GeneratorSpec | None = None,
     cadlag: bool = False,
-    terminal_margin: float = 0.0,
-    driver_scale: float = 0.5,
 ) -> Scenario:
     tree = make_tree(depth, horizon)
     barrier = random_process(tree, rng, cadlag=cadlag)
-    driver = random_process(
-        tree,
-        rng,
-        spread=driver_scale,
-        jump_rate=0.5,
-        jump_scale=driver_scale,
-        cadlag=cadlag,
-    )
+    driver = random_process(tree, rng, spread=0.5, jump_rate=0.5, jump_scale=0.5, cadlag=cadlag)
     if gen is None:
         gen = random_generator(rng)
-    terminal = random_terminal(tree, rng, barrier, margin=terminal_margin)
+    terminal = random_terminal(tree, rng, barrier)
     return Scenario(name, tree, terminal, gen, driver, barrier)
 
 

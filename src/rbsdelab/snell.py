@@ -12,8 +12,6 @@ jumps.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .bsde import SolutionTriple, backward_sweep
@@ -22,40 +20,14 @@ from .tree_space import AdaptedRegulatedProcess, KIncrements, rule_value_fields
 __all__ = [
     "KIncrements",
     "SolutionTriple",
-    "MertensDecomposition",
     "snell_envelope",
-    "verify_minimality",
+    "martingale",
+    "minimality_residuals",
     "brute_force_snell",
 ]
 
 
-@dataclass
-class MertensDecomposition:
-    """Envelope Y with its representation integrand and increasing part.
-
-    Pathwise, Y(t) = Y(0) + M(t) - K(t) at points and right limits, where
-    the martingale part M is built on request by :meth:`martingale`.
-    """
-
-    envelope: AdaptedRegulatedProcess
-    integrand: tuple[np.ndarray, ...]
-    increasing: KIncrements
-
-    def martingale(self) -> list[np.ndarray]:
-        """M(t_i) per node, one array per level, with M(0) = 0.
-
-        M has no right jumps; its left jump at t_{i+1} is Z(t_i) times the
-        revealed noise increment.
-        """
-        tree = self.envelope.tree
-        levels = [np.zeros(1)]
-        for i in range(tree.depth):
-            step = np.repeat(self.integrand[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
-            levels.append(np.repeat(levels[i], 2) + step)
-        return levels
-
-
-def snell_envelope(barrier: AdaptedRegulatedProcess, terminal: np.ndarray) -> MertensDecomposition:
+def snell_envelope(barrier: AdaptedRegulatedProcess, terminal: np.ndarray) -> SolutionTriple:
     """Smallest strong supermartingale dominating ``barrier`` with value
     ``terminal`` at the horizon.
 
@@ -68,19 +40,32 @@ def snell_envelope(barrier: AdaptedRegulatedProcess, terminal: np.ndarray) -> Me
 
     Returns
     -------
-    MertensDecomposition
-        Envelope, representation integrand, and the increasing process split
-        into interval, left-jump, and right-jump charges.
+    SolutionTriple
+        The envelope Y, its representation integrand Z, and the increasing
+        process K split into interval, left-jump, and right-jump charges.
+        Pathwise, Y(t) = Y(0) + M(t) - K(t) at points and right limits,
+        with M built by :func:`martingale`.
     """
     tree = barrier.tree
-    trip = backward_sweep(tree, terminal, None, None, floor=barrier.right, point_floor=barrier.point)
-    return MertensDecomposition(trip.value, trip.integrand, trip.increments)
+    return backward_sweep(tree, terminal, None, None, floor=barrier.right, point_floor=barrier.point)
+
+
+def martingale(trip: SolutionTriple) -> list[np.ndarray]:
+    """M(t_i) per node, one array per level, with M(0) = 0.
+
+    M has no right jumps; its left jump at t_{i+1} is Z(t_i) times the
+    revealed noise increment.
+    """
+    tree = trip.value.tree
+    levels = [np.zeros(1)]
+    for i in range(tree.depth):
+        step = np.repeat(trip.integrand[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
+        levels.append(np.repeat(levels[i], 2) + step)
+    return levels
 
 
 def minimality_residuals(
-    envelope: AdaptedRegulatedProcess,
-    barrier: AdaptedRegulatedProcess,
-    increasing: KIncrements,
+    trip: SolutionTriple, barrier: AdaptedRegulatedProcess
 ) -> tuple[float, float]:
     """Expected flat-off charges of K against Y - L.
 
@@ -90,24 +75,18 @@ def minimality_residuals(
     are expectations of per-path sums and vanish when K acts only where Y
     touches the barrier.
     """
-    tree = envelope.tree
+    y, k = trip.value, trip.increments
+    tree = y.tree
     cont = 0.0
     jump = 0.0
     for i in range(tree.depth):
         weight = tree.node_probability(i)
-        interval_gap = envelope.right[i] - barrier.right[i]
-        left_as_parent = increasing.left[i + 1][0::2]
-        cont += weight * float(np.sum(interval_gap * (increasing.interval[i] + left_as_parent)))
-        point_gap = envelope.point[i] - barrier.point[i]
-        jump += weight * float(np.sum(point_gap * increasing.right[i]))
+        interval_gap = y.right[i] - barrier.right[i]
+        left_as_parent = k.left[i + 1][0::2]
+        cont += weight * float(np.sum(interval_gap * (k.interval[i] + left_as_parent)))
+        point_gap = y.point[i] - barrier.point[i]
+        jump += weight * float(np.sum(point_gap * k.right[i]))
     return cont, jump
-
-
-def verify_minimality(
-    decomposition: MertensDecomposition, barrier: AdaptedRegulatedProcess
-) -> tuple[float, float]:
-    """Minimality residual pair for an envelope decomposition."""
-    return minimality_residuals(decomposition.envelope, barrier, decomposition.increasing)
 
 
 def brute_force_snell(

@@ -362,6 +362,26 @@ class TestPenalizeVerb:
         assert run_experiment(config, str(b), jobs=2) == 0
         assert tree_of_files(a) == tree_of_files(b)
 
+    def test_sampled_studies_use_the_configured_horizon(self, tmp_path):
+        text = """\
+            [experiment]
+            kind = penalize
+            depth = 3
+            count = 1
+            seed = 3
+            levels = 1,8,64
+            horizon = {}
+            """
+        tables = []
+        for horizon in (1, 2):
+            config = write_config(tmp_path, text.format(horizon), name=f"h{horizon}.ini")
+            out = tmp_path / f"h{horizon}"
+            assert run_experiment(config, str(out)) == 0
+            tables.append((out / "study_000.csv").read_text())
+        assert tables[0] != tables[1]
+        sc = random_scenario(cli._scenario_rng(3, 0), 3, 2.0, name="study-000")
+        study = convergence_study(sc.terminal, sc.gen, sc.driver, sc.barrier, [1, 8, 64])
+        assert tables[1] == emit_convergence_table(study)
 
     def test_levels_below_one_are_a_usage_error(self, tmp_path, capfd):
         config = write_config(

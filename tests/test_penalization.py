@@ -194,7 +194,7 @@ class TestConvergenceStudy:
         # supplied floor it is rejected rather than let the classic solves
         # overshoot the reference
         rows = default_lower_bound(terminal, gen, driver, barrier)
-        with pytest.raises(ValueError, match="violation at the reference solution"):
+        with pytest.raises(ValueError, match="violation at the realized solution"):
             convergence_study(
                 terminal, gen, driver, barrier, levels, mode="classic_vs_transformed", bound=rows
             )

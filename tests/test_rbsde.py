@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -23,13 +25,38 @@ from rbsdelab.scenarios import (
     random_scenario,
 )
 from rbsdelab.snell import brute_force_snell, snell_envelope
-from rbsdelab.tree_space import AdaptedRegulatedProcess, build_tree
+from rbsdelab.tree_space import AdaptedRegulatedProcess, build_tree, conditional_expectation
 
 from conftest import climbing_scenario, sup_gap
 
 
 def small_tree(depth, horizon=1.0):
     return build_tree(TimeGrid(horizon, depth))
+
+
+def domination_margin(lhat, barrier):
+    """Smallest value of lhat - L over point and right slots."""
+    return float(min(np.min(lhat.points - barrier.points), np.min(lhat.rights - barrier.rights)))
+
+
+def left_limit_margin(lhat, bound, driver):
+    """Largest excess of E[lhat(t+) + V-jump | node] + bound dt over lhat's interval value."""
+    tree = lhat.tree
+    margin = -np.inf
+    for i in range(tree.depth):
+        cond = conditional_expectation(tree, lhat.point[i + 1] + driver.delta_minus(i + 1))
+        margin = max(margin, float(np.max(cond + bound[i] * tree.dt - lhat.right[i])))
+    return margin
+
+
+def traced_peak(fn, *args):
+    """Peak of the memory ``fn(*args)`` allocates, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def solve_scenario(sc):
@@ -65,11 +92,11 @@ class TestDirectSolve:
         driver = AdaptedRegulatedProcess.zeros(sc.tree)
         trip = solve_reflected_direct(sc.terminal, sc.gen, driver, sc.barrier)
         dec = snell_envelope(sc.barrier, sc.terminal)
-        assert sup_gap(trip.value, dec.envelope) <= 1e-12 * dec.envelope.scale()
+        assert sup_gap(trip.value, dec.value) <= 1e-12 * dec.value.scale()
         for i in range(5):
             np.testing.assert_allclose(trip.integrand[i], dec.integrand[i], atol=1e-12)
             np.testing.assert_allclose(
-                trip.increments.right[i], dec.increasing.right[i], atol=1e-12
+                trip.increments.right[i], dec.increments.right[i], atol=1e-12
             )
 
     def test_right_jump_reflection_identity_is_exact(self, rng):
@@ -144,29 +171,31 @@ class TestBarrierTransform:
         barrier = AdaptedRegulatedProcess.constant(tree, 2.0)
         terminal = np.full(16, 2.0)
         driver = AdaptedRegulatedProcess.zeros(tree)
-        result = barrier_transform(barrier, terminal, np.zeros(4), driver)
-        assert sup_gap(result.lhat, barrier) <= 1e-12
-        assert result.left_limit_margin <= 1e-12
+        lhat = barrier_transform(barrier, terminal, np.zeros(4), driver)
+        assert sup_gap(lhat, barrier) <= 1e-12
+        assert left_limit_margin(lhat, np.zeros(4), driver) <= 1e-12
 
     def test_zero_floor_gives_the_snell_envelope_of_the_barrier(self, rng):
         sc = random_scenario(rng, depth=4, name="transform", gen=make_generator("zero"))
         driver = AdaptedRegulatedProcess.zeros(sc.tree)
-        result = barrier_transform(sc.barrier, sc.terminal, np.zeros(4), driver)
+        lhat = barrier_transform(sc.barrier, sc.terminal, np.zeros(4), driver)
         dec = snell_envelope(sc.barrier, sc.terminal)
-        assert sup_gap(result.lhat, dec.envelope) <= 1e-12 * dec.envelope.scale()
+        assert sup_gap(lhat, dec.value) <= 1e-12 * dec.value.scale()
         for level in range(4):
-            assert np.all(result.lhat.point[level] >= sc.barrier.point[level] - 1e-12)
-            assert np.all(result.lhat.right[level] >= sc.barrier.right[level] - 1e-12)
+            assert np.all(lhat.point[level] >= sc.barrier.point[level] - 1e-12)
+            assert np.all(lhat.right[level] >= sc.barrier.right[level] - 1e-12)
 
     def test_transformed_barrier_has_controlled_left_limits(self, rng):
         for i in range(10):
             sc = random_scenario(rng, depth=5, name=f"lhat-{i}")
             bound = default_lower_bound(sc.terminal, sc.gen, sc.driver, sc.barrier)
-            result = barrier_transform(sc.barrier, sc.terminal, bound, sc.driver, gen=sc.gen)
-            assert result.domination_margin >= -1e-12 * result.lhat.scale()
+            # as a supplied floor it passes the reduction's sampled box
+            solve_via_reduction(sc.terminal, sc.gen, sc.driver, sc.barrier, bound=bound)
+            lhat = barrier_transform(sc.barrier, sc.terminal, bound, sc.driver)
+            assert domination_margin(lhat, sc.barrier) >= -1e-12 * lhat.scale()
             # the excess of the conditional left limit over the interval
             # value, floor included, must be nonpositive
-            assert result.left_limit_margin <= 1e-12 * result.lhat.scale()
+            assert left_limit_margin(lhat, bound, sc.driver) <= 1e-12 * lhat.scale()
 
     def test_rejects_wrong_bound_length(self, rng):
         sc = random_scenario(rng, depth=3, name="badbound")
@@ -252,6 +281,15 @@ class TestReduction:
         monkeypatch.setattr(rbsde, "_floor_shortfall", lambda gen, rows, trip: 1.0)
         with pytest.raises(ValueError, match="lower-bound violation after widening the floor"):
             solve_via_reduction(sc.terminal, sc.gen, sc.driver, sc.barrier)
+
+    def test_holds_no_auxiliary_solution_through_the_final_sweep(self, rng):
+        # the transform hands back only the regularized barrier, so the
+        # reduction's final sweep holds little more than the direct one
+        gen = make_generator("monotone_cubic:0.3")
+        sc = random_scenario(rng, depth=12, name="memory", gen=gen)
+        data = (sc.terminal, sc.gen, sc.driver, sc.barrier)
+        direct = traced_peak(solve_reflected_direct, *data)
+        assert traced_peak(solve_via_reduction, *data) < 1.35 * direct
 
     def test_runs_one_unreflected_solve_for_the_auxiliary_only(self, rng, monkeypatch):
         sc = random_scenario(rng, depth=5, name="one-solve")

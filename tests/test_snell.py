@@ -5,8 +5,9 @@ from rbsdelab.grid_path import TimeGrid
 from rbsdelab.snell import (
     KIncrements,
     brute_force_snell,
+    martingale,
+    minimality_residuals,
     snell_envelope,
-    verify_minimality,
 )
 from rbsdelab.tree_space import AdaptedRegulatedProcess, build_tree
 
@@ -31,34 +32,34 @@ class TestSingleStepExamples:
         tree = small_tree(1)
         barrier = AdaptedRegulatedProcess.from_levels(tree, [[5.0], [0.0, 0.0]], [[0.0]])
         dec = snell_envelope(barrier, [0.0, 0.0])
-        assert dec.envelope.point[0][0] == 5.0
-        assert dec.envelope.right[0][0] == 0.0
-        assert dec.increasing.right[0][0] == 5.0
-        assert dec.increasing.interval[0][0] == 0.0
-        np.testing.assert_array_equal(dec.increasing.left[1], [0.0, 0.0])
-        assert verify_minimality(dec, barrier) == (0.0, 0.0)
-        assert dec.increasing.total_mass_expectation() == 5.0
+        assert dec.value.point[0][0] == 5.0
+        assert dec.value.right[0][0] == 0.0
+        assert dec.increments.right[0][0] == 5.0
+        assert dec.increments.interval[0][0] == 0.0
+        np.testing.assert_array_equal(dec.increments.left[1], [0.0, 0.0])
+        assert minimality_residuals(dec, barrier) == (0.0, 0.0)
+        assert dec.increments.total_mass_expectation() == 5.0
 
     def test_interval_spike_is_absorbed_by_a_left_jump(self):
         tree = small_tree(1)
         barrier = AdaptedRegulatedProcess.from_levels(tree, [[0.0], [0.0, 0.0]], [[3.0]])
         dec = snell_envelope(barrier, [0.0, 0.0])
-        assert dec.envelope.point[0][0] == 3.0
-        assert dec.envelope.right[0][0] == 3.0
-        np.testing.assert_array_equal(dec.increasing.left[1], [3.0, 3.0])
-        assert dec.increasing.right[0][0] == 0.0
+        assert dec.value.point[0][0] == 3.0
+        assert dec.value.right[0][0] == 3.0
+        np.testing.assert_array_equal(dec.increments.left[1], [3.0, 3.0])
+        assert dec.increments.right[0][0] == 0.0
         # the left charge is decided before the noise, so Y(t1-) = 3 on both branches
-        at_point, _ = dec.increasing.cumulative()
+        at_point, _ = dec.increments.cumulative()
         np.testing.assert_array_equal(at_point[1], [3.0, 3.0])
-        assert verify_minimality(dec, barrier) == (0.0, 0.0)
+        assert minimality_residuals(dec, barrier) == (0.0, 0.0)
 
     def test_constant_barrier_with_matching_terminal_is_flat(self):
         tree = small_tree(3)
         barrier = AdaptedRegulatedProcess.constant(tree, 2.5)
         dec = snell_envelope(barrier, np.full(8, 2.5))
         for level in range(4):
-            np.testing.assert_array_equal(dec.envelope.point[level], np.full(tree.n_nodes(level), 2.5))
-        assert dec.increasing.max_component() == 0.0
+            np.testing.assert_array_equal(dec.value.point[level], np.full(tree.n_nodes(level), 2.5))
+        assert dec.increments.max_component() == 0.0
         for z in dec.integrand:
             np.testing.assert_array_equal(z, np.zeros_like(z))
 
@@ -85,7 +86,7 @@ class TestAgainstBruteForce:
             barrier, terminal = dominated_barrier(tree, rng)
             dec = snell_envelope(barrier, terminal)
             oracle = brute_force_snell(barrier, terminal)
-            assert sup_gap(dec.envelope, oracle) <= 1e-12 * dec.envelope.scale()
+            assert sup_gap(dec.value, oracle) <= 1e-12 * dec.value.scale()
 
     def test_right_field_agrees_too(self, rng):
         tree = small_tree(3)
@@ -93,7 +94,7 @@ class TestAgainstBruteForce:
         dec = snell_envelope(barrier, terminal)
         oracle = brute_force_snell(barrier, terminal)
         for level in range(3):
-            np.testing.assert_allclose(dec.envelope.right[level], oracle.right[level], atol=1e-12)
+            np.testing.assert_allclose(dec.value.right[level], oracle.right[level], atol=1e-12)
 
 
 class TestEnvelopeProperties:
@@ -101,20 +102,20 @@ class TestEnvelopeProperties:
         tree = small_tree(5)
         barrier, terminal = dominated_barrier(tree, rng)
         dec = snell_envelope(barrier, terminal)
-        np.testing.assert_array_equal(dec.envelope.point[5], terminal)
+        np.testing.assert_array_equal(dec.value.point[5], terminal)
         for level in range(5):
-            assert np.all(dec.envelope.point[level] >= barrier.point[level])
-            assert np.all(dec.envelope.right[level] >= barrier.right[level])
+            assert np.all(dec.value.point[level] >= barrier.point[level])
+            assert np.all(dec.value.right[level] >= barrier.right[level])
 
     def test_charges_are_nonnegative_and_flat_off(self, rng):
         for _ in range(10):
             tree = small_tree(4)
             barrier, terminal = dominated_barrier(tree, rng, scale=3.0)
             dec = snell_envelope(barrier, terminal)
-            assert dec.increasing.min_component() >= 0.0
-            cont, jump = verify_minimality(dec, barrier)
-            assert abs(cont) <= 1e-12 * dec.envelope.scale()
-            assert abs(jump) <= 1e-12 * dec.envelope.scale()
+            assert dec.increments.min_component() >= 0.0
+            cont, jump = minimality_residuals(dec, barrier)
+            assert abs(cont) <= 1e-12 * dec.value.scale()
+            assert abs(jump) <= 1e-12 * dec.value.scale()
 
     def test_smaller_than_any_dominating_strong_supermartingale(self, rng):
         tree = small_tree(4)
@@ -131,32 +132,32 @@ class TestEnvelopeProperties:
                 point[i] = np.maximum(right[i], barrier.point[i]) + rng.uniform(0.0, 1.0, 1 << i)
             other = AdaptedRegulatedProcess.from_levels(tree, point, right)
             for level in range(4):
-                assert np.all(dec.envelope.point[level] <= point[level] + 1e-12)
-                assert np.all(dec.envelope.right[level] <= right[level] + 1e-12)
-            assert np.all(dec.envelope.point[4] <= other.point[4] + 1e-12)
+                assert np.all(dec.value.point[level] <= point[level] + 1e-12)
+                assert np.all(dec.value.right[level] <= right[level] + 1e-12)
+            assert np.all(dec.value.point[4] <= other.point[4] + 1e-12)
 
     def test_pathwise_decomposition_identity(self, rng):
         tree = small_tree(5)
         barrier, terminal = dominated_barrier(tree, rng, scale=2.0)
         dec = snell_envelope(barrier, terminal)
-        y0 = dec.envelope.point[0][0]
-        at_point, at_right = dec.increasing.cumulative()
-        martingale = dec.martingale()
+        y0 = dec.value.point[0][0]
+        at_point, at_right = dec.increments.cumulative()
+        path = martingale(dec)
         for i in range(6):
-            recon = y0 + martingale[i] - at_point[i]
-            np.testing.assert_allclose(recon, dec.envelope.point[i], atol=1e-12)
+            recon = y0 + path[i] - at_point[i]
+            np.testing.assert_allclose(recon, dec.value.point[i], atol=1e-12)
         # the martingale part has no right jump, so only K moves at t_i+
         for i in range(5):
-            recon = y0 + martingale[i] - at_right[i]
-            np.testing.assert_allclose(recon, dec.envelope.right[i], atol=1e-12)
+            recon = y0 + path[i] - at_right[i]
+            np.testing.assert_allclose(recon, dec.value.right[i], atol=1e-12)
 
     def test_integrand_represents_the_martingale_part(self, rng):
         tree = small_tree(4)
         barrier, terminal = dominated_barrier(tree, rng)
         dec = snell_envelope(barrier, terminal)
-        martingale = dec.martingale()
+        path = martingale(dec)
         for i in range(4):
-            step = martingale[i + 1] - np.repeat(martingale[i], 2)
+            step = path[i + 1] - np.repeat(path[i], 2)
             expected = np.repeat(dec.integrand[i], 2) * tree.sqrt_dt * tree.edge_signs(i + 1)
             np.testing.assert_allclose(step, expected, atol=1e-14)
 
@@ -188,7 +189,7 @@ class TestKIncrements:
     def test_dominates_ordering(self, rng):
         tree = small_tree(2)
         barrier, terminal = dominated_barrier(tree, rng, scale=3.0)
-        k = snell_envelope(barrier, terminal).increasing
+        k = snell_envelope(barrier, terminal).increments
         zeros = KIncrements.zeros(tree)
         assert k.dominates(zeros)
         if k.max_component() > 0.0:

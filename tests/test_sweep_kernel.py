@@ -159,7 +159,7 @@ def penalized_arrays(sol):
 
 def reduction_reference(sc):
     bound = default_lower_bound(sc.terminal, sc.gen, sc.driver, sc.barrier)
-    lhat = barrier_transform(sc.barrier, sc.terminal, bound, sc.driver).lhat
+    lhat = barrier_transform(sc.barrier, sc.terminal, bound, sc.driver)
     depth = sc.tree.depth
     floors = [lhat.right[i] for i in range(depth)]
     points = [lhat.point[i] for i in range(depth)]
@@ -177,7 +177,7 @@ def check_every_solve(sc, levels=(1, 8, 64)):
 
     dec = snell_envelope(barrier, terminal)
     assert_same_bytes(
-        solution_arrays(dec.envelope, dec.integrand, dec.increasing),
+        solution_arrays(dec.value, dec.integrand, dec.increments),
         arrays(*reference_envelope(barrier, terminal)),
     )
 
@@ -282,7 +282,7 @@ def test_envelope_without_zero_terms_keeps_the_zero_generator_bytes():
             tree, terminal, zero_gen, zero_driver, floor=barrier.right, point_floor=barrier.point
         )
         assert_same_bytes(
-            solution_arrays(dec.envelope, dec.integrand, dec.increasing),
+            solution_arrays(dec.value, dec.integrand, dec.increments),
             solution_arrays(zero_terms.value, zero_terms.integrand, zero_terms.increments),
         )
     assert negative_zero_conds > 0
