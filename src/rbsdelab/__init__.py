@@ -47,10 +47,8 @@ from .rbsde import (
     solution_distance,
 )
 from .penalization import (
-    SigmaArray,
     PenalizedSolution,
     ConvergenceStudy,
-    build_sigma_arrays,
     solve_penalized,
     step_one_barrier,
     convergence_study,
@@ -100,10 +98,8 @@ __all__ = [
     "default_lower_bound",
     "compare_solutions",
     "solution_distance",
-    "SigmaArray",
     "PenalizedSolution",
     "ConvergenceStudy",
-    "build_sigma_arrays",
     "solve_penalized",
     "step_one_barrier",
     "convergence_study",

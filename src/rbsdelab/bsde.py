@@ -17,7 +17,7 @@ Snell envelope are all calls of it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -479,26 +479,27 @@ def backward_sweep(
     terminal: np.ndarray,
     gen: GeneratorSpec | None,
     driver: AdaptedRegulatedProcess | None,
-    floor: Sequence[np.ndarray] | None = None,
-    point_floor: Sequence[np.ndarray] | None = None,
+    floor: np.ndarray | None = None,
+    point_floor: np.ndarray | None = None,
     penalty: float = 0.0,
 ) -> SolutionTriple:
     """Backward sweep from the terminal payoff with up to three floors.
 
     Each level takes the sibling mean and the integrand Z of the next point
     values plus the driver's left jumps, then solves the implicit interval
-    step.  ``floor[i]`` constrains Y on (t_i, t_{i+1}): without a penalty Y
-    is reflected on it, and the charge up to (floor - E)^+ is booked as the
+    step.  The floors are heap-ordered like every field: ``floor`` over the
+    intervals constrains Y on (t_i, t_{i+1}).  Without a penalty Y is
+    reflected on it, and the charge up to (floor - E)^+ is booked as the
     predictable left jump at t_{i+1}, the remainder as interval charge.  A
     positive ``penalty`` n replaces that reflection by the linear penalty
     n*dt*(floor - y)^+, which never reflects at left limits, so all of its
     charge is interval charge.  The driver's right jump is then added, and
-    ``point_floor[i]`` (one array per level, the terminal one included)
-    reflects the point value with a right-jump charge; the payoff must
-    dominate its terminal row.  Without floors this is the unreflected
-    equation and every charge is zero.  Each level is written into the
-    arrays of the returned triple; a charge component that no floor can
-    produce stays the read-only zero view of :meth:`KIncrements.zeros`.
+    ``point_floor`` over the points, the terminal level included, reflects
+    the point value with a right-jump charge; the payoff must dominate its
+    terminal level.  Without floors this is the unreflected equation and
+    every charge is zero.  Each level is written into the arrays of the
+    returned triple; a charge component that no floor can produce stays the
+    read-only zero view of :meth:`KIncrements.zeros`.
     ``gen=None`` is the zero generator and ``driver=None`` the zero driver:
     their terms are the scalar 0.0, which adds as an array of zeros does,
     so the result is bit for bit the one that ``make_generator("zero")``
@@ -520,6 +521,8 @@ def backward_sweep(
         raise ValueError("terminal payoff has the wrong number of leaves")
     if not np.all(np.isfinite(xi)):
         raise ValueError("terminal payoff contains a non-finite entry")
+    floor = None if floor is None else _level_views(floor, n)
+    point_floor = None if point_floor is None else _level_views(point_floor, n + 1)
     if point_floor is not None:
         gap = float(np.min(xi - point_floor[n]))
         if gap < 0.0:

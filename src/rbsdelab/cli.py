@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import contextlib
+import dataclasses
 import math
 import os
 import sys
@@ -34,7 +35,7 @@ from .rbsde import (
     stopping_representation_check,
     verify_solution,
 )
-from .penalization import ConvergenceStudy, convergence_study
+from .penalization import STUDY_COLUMNS, ConvergenceStudy, convergence_study
 from .ito_regulated import (
     cor4_inequality_check,
     ito_residual,
@@ -94,6 +95,26 @@ def _scenario_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
+def _scenario_source(cfg, seed: int, depth: int, count: int, prefix: str, cadlag: bool):
+    """The number of a run's scenarios, and the function that builds each.
+
+    A ``[scenario]`` section configures the run's one scenario.  Otherwise
+    ``experiment.count`` scenarios (``count`` by default) are drawn, index i
+    from its own seeded stream and named ``prefix-iii``.
+    """
+    exp = cfg["experiment"]
+    horizon = exp.getfloat("horizon", 1.0)
+
+    def build(index: int):
+        if "scenario" in cfg:
+            tree = make_tree(depth, horizon)
+            return scenario_from_config(cfg["scenario"], tree, name="configured-000")
+        rng = _scenario_rng(seed, index)
+        return random_scenario(rng, depth, horizon, name=f"{prefix}-{index:03d}", cadlag=cadlag)
+
+    return (1 if "scenario" in cfg else exp.getint("count", count)), build
+
+
 def _map_ordered(fn, items, jobs: int) -> Iterator:
     """Yield ``fn(item)`` for every item, in input order, as results arrive.
 
@@ -134,9 +155,9 @@ def emit_convergence_table(study: ConvergenceStudy) -> str:
     """Fixed-schema CSV for a penalization study."""
     if not study.rows:
         raise ValueError("empty study")
-    lines = [",".join(study.header())]
+    lines = [",".join(STUDY_COLUMNS)]
     for row in study.rows:
-        n, *rest = row.values()
+        n, *rest = dataclasses.astuple(row)
         lines.append(",".join([str(int(n))] + [_fmt(v) for v in rest]))
     return "\n".join(lines) + "\n"
 
@@ -193,20 +214,12 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
     method = exp.get("method", "both")
     if method not in ("direct", "reduction", "both"):
         raise ValueError(f"unknown method {method!r}")
-    depth = exp.getint("depth", 3)
-    horizon = exp.getfloat("horizon", 1.0)
-    configured = "scenario" in cfg
-    count = 1 if configured else exp.getint("count", 12)
+    count, build = _scenario_source(cfg, seed, exp.getint("depth", 3), 12, "random", cadlag=False)
 
     def work(index: int):
         # Each worker builds the scenario it solves, so a batch never holds
         # more instances than there are workers.
-        if configured:
-            tree = make_tree(depth, horizon)
-            scenario = scenario_from_config(cfg["scenario"], tree, name="configured-000")
-        else:
-            rng = _scenario_rng(seed, index)
-            scenario = random_scenario(rng, depth, horizon, name=f"random-{index:03d}")
+        scenario = build(index)
         data = (scenario.terminal, scenario.gen, scenario.driver, scenario.barrier)
         try:
             gap = None
@@ -307,21 +320,14 @@ def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bo
 
 def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
     exp = cfg["experiment"]
-    depth = exp.getint("depth", 4)
-    horizon = exp.getfloat("horizon", 1.0)
     mode = exp.get("mode", "modified")
     levels = [int(tok) for tok in exp.get("levels", "1,2,4,8,16,32,64").split(",")]
-    configured = "scenario" in cfg
-    count = 1 if configured else exp.getint("count", 1)
-    cadlag = not configured and exp.getboolean("cadlag", False)
+    count, build = _scenario_source(
+        cfg, seed, exp.getint("depth", 4), 1, "study", cadlag=exp.getboolean("cadlag", False)
+    )
 
     def work(index: int):
-        if configured:
-            tree = make_tree(depth, horizon)
-            scenario = scenario_from_config(cfg["scenario"], tree, name="configured-000")
-        else:
-            rng = _scenario_rng(seed, index)
-            scenario = random_scenario(rng, depth, horizon, name=f"study-{index:03d}", cadlag=cadlag)
+        scenario = build(index)
         try:
             study = convergence_study(
                 scenario.terminal,

@@ -10,19 +10,17 @@ reflected solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .bsde import GeneratorSpec, SolutionTriple, backward_sweep
 from .rbsde import barrier_transform, lower_bound_along, solve_reflected_direct
-from .tree_space import AdaptedRegulatedProcess, TreeSpace, _level_views
+from .tree_space import AdaptedRegulatedProcess
 
 __all__ = [
-    "SigmaArray",
     "PenalizedSolution",
     "sigma_array",
-    "build_sigma_arrays",
     "solve_penalized",
     "step_one_barrier",
     "ConvergenceRow",
@@ -37,82 +35,48 @@ STUDY_COLUMNS = ("n", "sup_gap_Y", "monotonicity_violation", "L1_gap_Z", "L2_gap
 MONOTONE_EQUALITY_TOL = 1e-13
 
 
-@dataclass
-class SigmaArray:
-    """Per-node detection flags for right jumps below -1/n.
-
-    ``mask`` is heap-ordered over levels 0..N and ``detected[i]`` is its
-    level-i view: it marks the nodes where the barrier's right jump or the
-    forcing's right jump falls under -1/n.  Each flag depends only on level-i
-    information, so the induced per-path hitting times are stopping times.
-    The flagged set grows with n because the threshold shrinks.
-    """
-
-    n: int
-    mask: np.ndarray
-    detected: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        # a heap over L levels holds 2**L - 1 entries
-        self.detected = _level_views(self.mask, self.mask.size.bit_length())
-
-    def count(self) -> int:
-        return int(np.count_nonzero(self.mask))
-
-    def contains(self, other: "SigmaArray") -> bool:
-        """Whether every node flagged by ``other`` is flagged here."""
-        return bool(np.all(self.mask | ~other.mask))
+def _check_level(n, what: str) -> None:
+    if not (isinstance(n, (int, np.integer)) and n >= 1):
+        raise ValueError(f"{what} must be a positive integer, got {n!r}")
 
 
 def sigma_array(
     barrier: AdaptedRegulatedProcess, driver: AdaptedRegulatedProcess, n: int
-) -> SigmaArray:
-    if n < 1:
-        raise ValueError("detection level must be a positive integer")
-    threshold = -1.0 / float(n)
+) -> np.ndarray:
+    """Heap-ordered flags of the nodes whose right jump falls under -1/n.
+
+    A node is flagged where the barrier's right jump or the forcing's right
+    jump lies below -1/n.  Each flag depends only on level-i information,
+    so the induced per-path hitting times are stopping times.  The flagged
+    set grows with n because the threshold shrinks.  An ``n`` that is not
+    an integer of at least 1 raises ValueError.
+    """
+    _check_level(n, "detection level")
+    threshold = -1.0 / n
     # no right jump at the horizon, so the terminal level is never flagged
     mask = np.zeros(barrier.points.size, dtype=bool)
     mask[: barrier.rights.size] = (barrier.right_jumps() < threshold) | (
         driver.right_jumps() < threshold
     )
-    return SigmaArray(n=int(n), mask=mask)
-
-
-def build_sigma_arrays(
-    barrier: AdaptedRegulatedProcess, driver: AdaptedRegulatedProcess, n_max: int
-) -> list[SigmaArray]:
-    """Detection arrays for every level 1..n_max."""
-    return [sigma_array(barrier, driver, n) for n in range(1, n_max + 1)]
+    return mask
 
 
 @dataclass
 class PenalizedSolution(SolutionTriple):
     """Level-n approximation of ``scheme``, with its split increasing process.
 
-    ``increments`` has no left jumps: ``kstar_interval[i]`` is the penalty
-    mass accrued on (t_i, t_{i+1}), ``kd_right[i]`` the correction charges,
-    supported on the detection set.
+    ``increments`` has no left jumps: ``interval[i]`` is the penalty mass
+    accrued on (t_i, t_{i+1}), ``right[i]`` the correction charges, supported
+    on the detection set.
     """
 
     n: int
     scheme: str
 
-    @property
-    def kstar_interval(self) -> tuple[np.ndarray, ...]:
-        return self.increments.interval
-
-    @property
-    def kd_right(self) -> tuple[np.ndarray, ...]:
-        return self.increments.right
-
     def kd_mass(self) -> float:
-        tree = self.value.tree
-        return float(
-            sum(
-                tree.node_probability(i) * float(np.sum(self.kd_right[i]))
-                for i in range(tree.depth)
-            )
-        )
+        tree, right = self.value.tree, self.increments.right
+        masses = (tree.node_probability(i) * float(np.sum(right[i])) for i in range(tree.depth))
+        return float(sum(masses))
 
 
 def solve_penalized(
@@ -134,20 +98,18 @@ def solve_penalized(
     Raises
     ------
     ValueError
-        If ``n`` is below 1 or the scheme is unknown.
+        If ``n`` is not an integer of at least 1 or the scheme is unknown.
     """
-    if n < 1:
-        raise ValueError(f"penalty level must be a positive integer, got {n}")
+    _check_level(n, "penalty level")
     if scheme not in ("modified", "classic"):
         raise ValueError(f"unknown penalization scheme {scheme!r}")
     if barrier.tree is not driver.tree:
         raise ValueError("driver and barrier live on different trees")
     point_floor = None
     if scheme == "modified":
-        floors = np.where(sigma_array(barrier, driver, n).mask, barrier.points, -np.inf)
-        point_floor = _level_views(floors, barrier.tree.depth + 1)
+        point_floor = np.where(sigma_array(barrier, driver, n), barrier.points, -np.inf)
     trip = backward_sweep(
-        driver.tree, terminal, gen, driver, barrier.right, point_floor, penalty=float(n)
+        driver.tree, terminal, gen, driver, barrier.rights, point_floor, penalty=float(n)
     )
     return PenalizedSolution(trip.value, trip.integrands, trip.increments, n=int(n), scheme=scheme)
 
@@ -181,33 +143,13 @@ class ConvergenceRow:
     l2_gap_z: float
     kd_mass: float
 
-    def values(self) -> tuple:
-        return (
-            self.n,
-            self.sup_gap_y,
-            self.monotonicity_violation,
-            self.l1_gap_z,
-            self.l2_gap_z,
-            self.kd_mass,
-        )
-
 
 @dataclass
 class ConvergenceStudy:
-    mode: str
+    """The gap rows of a study, one per level, and its reflected reference."""
+
     rows: list[ConvergenceRow]
     reference: SolutionTriple
-    solutions: list[PenalizedSolution] = field(default_factory=list)
-
-    def header(self) -> tuple:
-        return STUDY_COLUMNS
-
-
-def _field_gap(sol: PenalizedSolution, reference: SolutionTriple, right_only: bool) -> float:
-    gap = np.max(np.abs(reference.value.rights - sol.value.rights))
-    if not right_only:
-        gap = max(gap, np.max(np.abs(reference.value.points - sol.value.points)))
-    return float(gap)
 
 
 def _excess(
@@ -220,23 +162,28 @@ def _excess(
     return max(0.0, float(gap))
 
 
+def _field_gap(
+    value: AdaptedRegulatedProcess, reference: AdaptedRegulatedProcess, right_only: bool
+) -> float:
+    return max(_excess(value, reference, right_only), _excess(reference, value, right_only))
+
+
 def _monotonicity_violation(
-    sol: PenalizedSolution,
-    previous: PenalizedSolution | None,
-    reference: SolutionTriple,
+    value: AdaptedRegulatedProcess,
+    previous: AdaptedRegulatedProcess | None,
+    reference: AdaptedRegulatedProcess,
     right_only: bool,
 ) -> float:
-    worst = _excess(sol.value, reference.value, right_only)
+    worst = _excess(value, reference, right_only)
     if previous is not None:
-        worst = max(worst, _excess(previous.value, sol.value, right_only))
-    if worst <= MONOTONE_EQUALITY_TOL * reference.value.scale():
+        worst = max(worst, _excess(previous, value, right_only))
+    if worst <= MONOTONE_EQUALITY_TOL * reference.scale():
         return 0.0
     return worst
 
 
-def _z_gaps(
-    tree: TreeSpace, sol: PenalizedSolution, reference: SolutionTriple
-) -> tuple[float, float]:
+def _z_gaps(sol: SolutionTriple, reference: SolutionTriple) -> tuple[float, float]:
+    tree = reference.value.tree
     l1 = 0.0
     l2 = 0.0
     for i in range(tree.depth):
@@ -260,7 +207,7 @@ def convergence_study(
 
     Parameters
     ----------
-    levels : increasing penalty strengths
+    levels : strictly increasing penalty strengths, integers of at least 1
     mode : {"modified", "classic_vs_transformed"}
         The modified scheme is compared to the full solution at points and
         right limits.  The classic scheme is run against the regularized
@@ -271,14 +218,16 @@ def convergence_study(
     Raises
     ------
     ValueError
-        If a supplied ``bound`` is not finite, or the generator falls below
-        it on the sampled box or along the reference solution.
+        If the levels are empty, not strictly increasing or not integers of
+        at least 1, a supplied ``bound`` is not finite, or the generator
+        falls below it on the sampled box or along the reference solution.
     """
     if mode not in ("modified", "classic_vs_transformed"):
         raise ValueError(f"unknown study mode {mode!r}")
     if not levels:
         raise ValueError("empty study")
-    tree = driver.tree
+    if any(later <= earlier for earlier, later in zip(levels, levels[1:])):
+        raise ValueError(f"penalty levels must be strictly increasing, got {list(levels)}")
     reference = solve_reflected_direct(terminal, gen, driver, barrier)
 
     if mode == "modified":
@@ -291,21 +240,24 @@ def convergence_study(
         scheme = "classic"
         right_only = True
 
-    out = ConvergenceStudy(mode=mode, rows=[], reference=reference)
-    previous: PenalizedSolution | None = None
+    out = ConvergenceStudy(rows=[], reference=reference)
+    previous: AdaptedRegulatedProcess | None = None
     for n in levels:
         sol = solve_penalized(terminal, gen, driver, target_barrier, n, scheme=scheme)
-        l1, l2 = _z_gaps(tree, sol, reference)
+        l1, l2 = _z_gaps(sol, reference)
         out.rows.append(
             ConvergenceRow(
                 n=int(n),
-                sup_gap_y=_field_gap(sol, reference, right_only),
-                monotonicity_violation=_monotonicity_violation(sol, previous, reference, right_only),
+                sup_gap_y=_field_gap(sol.value, reference.value, right_only),
+                monotonicity_violation=_monotonicity_violation(
+                    sol.value, previous, reference.value, right_only
+                ),
                 l1_gap_z=l1,
                 l2_gap_z=l2,
                 kd_mass=sol.kd_mass(),
             )
         )
-        out.solutions.append(sol)
-        previous = sol
+        # only the value meets the next level; the solution must not outlive this one
+        previous = sol.value
+        del sol
     return out

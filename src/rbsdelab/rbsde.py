@@ -112,7 +112,7 @@ def solve_reflected_direct(
     if barrier.tree is not driver.tree:
         raise ValueError("driver and barrier live on different trees")
     return backward_sweep(
-        driver.tree, terminal, gen, driver, floor=barrier.right, point_floor=barrier.point
+        driver.tree, terminal, gen, driver, floor=barrier.rights, point_floor=barrier.points
     )
 
 
@@ -355,7 +355,7 @@ def solve_via_reduction(
         # lhat's right-limit field is a right-continuous barrier, so it is
         # both the interval and the left-limit floor
         lhat = barrier_transform(barrier, terminal, rows, driver)
-        trip = backward_sweep(tree, terminal, gen, driver, floor=lhat.right, point_floor=lhat.point)
+        trip = backward_sweep(tree, terminal, gen, driver, floor=lhat.rights, point_floor=lhat.points)
         worst = _floor_shortfall(gen, rows, trip)
         if not worst:
             return trip

@@ -47,7 +47,7 @@ def snell_envelope(barrier: AdaptedRegulatedProcess, terminal: np.ndarray) -> So
         with M built by :func:`martingale`.
     """
     tree = barrier.tree
-    return backward_sweep(tree, terminal, None, None, floor=barrier.right, point_floor=barrier.point)
+    return backward_sweep(tree, terminal, None, None, floor=barrier.rights, point_floor=barrier.points)
 
 
 def martingale(trip: SolutionTriple) -> list[np.ndarray]:

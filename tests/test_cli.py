@@ -401,6 +401,23 @@ class TestPenalizeVerb:
         assert "penalty level must be a positive integer, got 0" in err
         assert "DLASCL" not in err
 
+    @pytest.mark.parametrize("levels", ["64,16,4,1", "1,4,4,16"])
+    def test_levels_out_of_order_are_a_usage_error(self, tmp_path, capfd, levels):
+        config = write_config(
+            tmp_path,
+            f"""\
+            [experiment]
+            kind = penalize
+            depth = 3
+            count = 2
+            levels = {levels}
+            """,
+        )
+        out = tmp_path / "o"
+        assert main(["penalize", "--config", config, "--out-dir", str(out)]) == 2
+        assert "penalty levels must be strictly increasing" in capfd.readouterr().err
+        assert list(out.iterdir()) == []
+
 
 class TestItoVerb:
     def test_path_checks_pass_and_paths_are_written(self, tmp_path):

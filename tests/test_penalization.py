@@ -1,15 +1,16 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from rbsdelab import penalization
 from rbsdelab.bsde import make_generator, solve_bsde
+from rbsdelab.cli import emit_convergence_table
 from rbsdelab.grid_path import TimeGrid
 from rbsdelab.penalization import (
     MONOTONE_EQUALITY_TOL,
     STUDY_COLUMNS,
-    build_sigma_arrays,
     convergence_study,
     sigma_array,
     solve_penalized,
@@ -40,37 +41,43 @@ class TestSigmaDetection:
         barrier = AdaptedRegulatedProcess.from_levels(tree, point, right)
         driver = AdaptedRegulatedProcess.zeros(tree)
         for n in (1, 2, 3):
-            assert sigma_array(barrier, driver, n).count() == 0
+            assert np.count_nonzero(sigma_array(barrier, driver, n)) == 0
         for n in (4, 5, 100):
             sigma = sigma_array(barrier, driver, n)
-            assert sigma.count() == 1
-            assert bool(sigma.detected[0][0])
+            assert np.count_nonzero(sigma) == 1
+            assert bool(sigma[0])
 
     def test_driver_jumps_also_trigger(self):
         tree = small_tree(1)
         barrier = AdaptedRegulatedProcess.zeros(tree)
         driver = AdaptedRegulatedProcess.from_levels(tree, [[0.0], [0.0, 0.0]], [[-2.0]])
-        assert sigma_array(barrier, driver, 1).count() == 1
+        assert np.count_nonzero(sigma_array(barrier, driver, 1)) == 1
 
     def test_detection_sets_are_nested(self, rng):
         sc = random_scenario(rng, depth=5, name="sigma")
-        arrays = build_sigma_arrays(sc.barrier, sc.driver, 32)
-        counts = [a.count() for a in arrays]
+        arrays = [sigma_array(sc.barrier, sc.driver, n) for n in range(1, 33)]
+        counts = [np.count_nonzero(a) for a in arrays]
         for earlier, later in zip(arrays, arrays[1:]):
-            assert later.contains(earlier)
+            assert np.all(later | ~earlier)
         assert counts == sorted(counts)
 
     def test_cadlag_data_never_detects(self, rng):
         sc = cadlag_scenario(rng, depth=4, name="cad")
         driver = AdaptedRegulatedProcess.zeros(sc.tree)
-        for sigma in build_sigma_arrays(sc.barrier, driver, 64):
-            assert sigma.count() == 0
+        for n in range(1, 65):
+            assert np.count_nonzero(sigma_array(sc.barrier, driver, n)) == 0
 
     def test_rejects_nonpositive_levels(self):
         tree = small_tree(1)
         proc = AdaptedRegulatedProcess.zeros(tree)
         with pytest.raises(ValueError, match="positive integer"):
             sigma_array(proc, proc, 0)
+
+    def test_rejects_fractional_levels(self):
+        tree = small_tree(1)
+        proc = AdaptedRegulatedProcess.zeros(tree)
+        with pytest.raises(ValueError, match="positive integer"):
+            sigma_array(proc, proc, 2.5)
 
 
 class TestSolvePenalized:
@@ -80,7 +87,7 @@ class TestSolvePenalized:
         for n in (1, 2, 16, 4096):
             sol = solve_penalized(terminal, gen, driver, barrier, n)
             assert sol.value.point[0][0] == 5.0
-            assert sol.kd_right[0][0] == 5.0
+            assert sol.increments.right[0][0] == 5.0
             assert sup_gap(sol.value, reflected.value) == 0.0
 
     def test_classic_scheme_misses_the_spike(self):
@@ -96,7 +103,7 @@ class TestSolvePenalized:
         for n in (1, 64):
             sol = solve_penalized(sc.terminal, sc.gen, sc.driver, low, n)
             assert sup_gap(sol.value, plain.value) == 0.0
-            assert all(float(np.max(a)) == 0.0 for a in sol.kstar_interval)
+            assert all(float(np.max(a)) == 0.0 for a in sol.increments.interval)
 
     def test_schemes_coincide_on_cadlag_barriers(self, rng):
         sc = cadlag_scenario(rng, depth=5, name="cad")
@@ -118,7 +125,7 @@ class TestSolvePenalized:
         assert gaps == sorted(gaps, reverse=True)
 
     @pytest.mark.parametrize("scheme", ["classic", "modified"])
-    @pytest.mark.parametrize("n", [0, -4])
+    @pytest.mark.parametrize("n", [0, -4, 2.5])
     def test_rejects_levels_below_one(self, scheme, n):
         _, barrier, terminal, gen, driver = spike_setup()
         with pytest.raises(ValueError, match="positive integer"):
@@ -159,13 +166,14 @@ class TestConvergenceStudy:
         sc = random_scenario(rng, depth=5, name="study")
         levels = [1, 4, 16, 64, 256, 1024]
         study = convergence_study(sc.terminal, sc.gen, sc.driver, sc.barrier, levels)
-        assert study.header() == STUDY_COLUMNS
+        assert emit_convergence_table(study).split("\n", 1)[0] == ",".join(STUDY_COLUMNS)
         assert [row.n for row in study.rows] == levels
         assert study.rows[-1].sup_gap_y <= 1e-2 * study.reference.value.scale()
         assert study.rows[-1].l1_gap_z <= study.rows[0].l1_gap_z + 1e-12
-        for row, sol in zip(study.rows, study.solutions):
+        for row, n in zip(study.rows, levels):
+            sol = solve_penalized(sc.terminal, sc.gen, sc.driver, sc.barrier, n)
             assert row.kd_mass == sol.kd_mass()
-            assert len(row.values()) == len(STUDY_COLUMNS)
+            assert len(dataclasses.astuple(row)) == len(STUDY_COLUMNS)
 
     def test_classic_study_tracks_the_transformed_right_field(self, rng):
         sc = random_scenario(rng, depth=4, name="classic")
@@ -228,3 +236,24 @@ class TestConvergenceStudy:
             convergence_study(sc.terminal, sc.gen, sc.driver, sc.barrier, [1], mode="fast")
         with pytest.raises(ValueError, match="empty study"):
             convergence_study(sc.terminal, sc.gen, sc.driver, sc.barrier, [])
+        for levels in ([4, 1], [1, 4, 4]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                convergence_study(sc.terminal, sc.gen, sc.driver, sc.barrier, levels)
+
+    @pytest.mark.parametrize("mode", ["modified", "classic_vs_transformed"])
+    def test_memory_does_not_grow_with_the_levels(self, mode):
+        """A study holds one penalized solution at a time, whatever its length."""
+        rng = np.random.default_rng(5)
+        sc = random_scenario(rng, depth=10, name="memory", gen=make_generator("linear:-0.5,0.3"))
+        args = (sc.terminal, sc.gen, sc.driver, sc.barrier)
+
+        def peak(levels):
+            tracemalloc.start()
+            try:
+                convergence_study(*args, levels, mode=mode)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak([1, 2]), peak([1, 2, 4, 8, 16, 32, 64, 128])
+        assert long <= 1.2 * short

@@ -129,8 +129,8 @@ def reference_penalized(terminal, gen, driver, barrier, n, scheme):
         integrand[i] = z
         right[i] = y
         up = y + driver.delta_plus(i)
-        if sigma is not None and bool(np.any(sigma.detected[i])):
-            mask = sigma.detected[i]
+        mask = None if sigma is None else sigma[(1 << i) - 1 : (2 << i) - 1]
+        if mask is not None and bool(np.any(mask)):
             k_right[i] = np.where(mask, np.maximum(barrier.point[i] - up, 0.0), 0.0)
             point[i] = up + k_right[i]
         else:
@@ -279,7 +279,7 @@ def test_envelope_without_zero_terms_keeps_the_zero_generator_bytes():
         negative_zero_conds += int(np.sum((cond == 0.0) & np.signbit(cond)))
         dec = snell_envelope(barrier, terminal)
         zero_terms = backward_sweep(
-            tree, terminal, zero_gen, zero_driver, floor=barrier.right, point_floor=barrier.point
+            tree, terminal, zero_gen, zero_driver, floor=barrier.rights, point_floor=barrier.points
         )
         assert_same_bytes(
             solution_arrays(dec.value, dec.integrand, dec.increments),
