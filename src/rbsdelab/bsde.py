@@ -509,8 +509,10 @@ def backward_sweep(
     ------
     ValueError
         If the payoff has the wrong number of leaves or a non-finite entry,
-        fails to dominate the terminal point floor, or the generator breaks
-        the contraction precondition.
+        fails to dominate the terminal point floor, a floor has the wrong
+        number of heap-ordered entries or a NaN or +inf entry (-inf is a
+        floor that does not bind), or the generator breaks the contraction
+        precondition.
     """
     if gen is not None:
         check_contraction(gen, tree)
@@ -521,8 +523,10 @@ def backward_sweep(
         raise ValueError("terminal payoff has the wrong number of leaves")
     if not np.all(np.isfinite(xi)):
         raise ValueError("terminal payoff contains a non-finite entry")
-    floor = None if floor is None else _level_views(floor, n)
-    point_floor = None if point_floor is None else _level_views(point_floor, n + 1)
+    if floor is not None:
+        floor = _level_views(_heap_array(floor, n, "floor", floor=True), n)
+    if point_floor is not None:
+        point_floor = _level_views(_heap_array(point_floor, n + 1, "point floor", floor=True), n + 1)
     if point_floor is not None:
         gap = float(np.min(xi - point_floor[n]))
         if gap < 0.0:

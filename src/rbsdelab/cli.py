@@ -12,6 +12,7 @@ import argparse
 import configparser
 import contextlib
 import dataclasses
+import functools
 import math
 import os
 import sys
@@ -132,6 +133,8 @@ def _map_ordered(fn, items, jobs: int) -> Iterator:
             result = pending.popleft().result()
             pending.extend(pool.submit(fn, item) for item in islice(items, 1))
             yield result
+            # not held while the next result is awaited
+            del result
 
 
 def fit_rate(levels, gaps) -> float | None:
@@ -163,34 +166,232 @@ def emit_convergence_table(study: ConvergenceStudy) -> str:
 
 
 # ----------------------------------------------------------------------
-# experiment kinds
+# results.csv: '%.17g' in integer arithmetic
+#
+# A finite nonzero double is x = m * 2**(b - 1075), with b its biased
+# exponent and m < 2**53.  '%.17g' prints the 17 digits of
+# N = round-half-even(|x| * 10**t), t = 16 - E, where E is the exponent
+# that puts N in [10**16, 10**17), and lays them out by E (Steele & White
+# 1990).  With 5**t = (f + d) * 2**g, f a 64-bit integer and 0 <= d < 1,
+# |x| * 10**t is the 117-bit product m * f shifted right by
+# s = 1075 - b - g - t bits, plus m * d shifted alike.  f is 5**t itself for
+# 0 <= t <= 27, so N is exact there, ties included; for other t, N is the
+# rounding of both bounds, m * f and m * (f + 1), where they agree.  A cell
+# where they do not, or whose double is subnormal or not finite, is printed
+# by Python, so every byte is the one '%.17g' prints.  The tables are built
+# on first use, so a run that writes no results.csv does not hold them.
+
+_U64 = np.uint64
+_LOW32 = _U64(0xFFFFFFFF)
+# every t that a normal double needs, with room for one correction of E
+_T_MIN, _T_MAX = -300, 330
 
 
-def _status(ok: bool) -> str:
-    return "pass" if ok else "fail"
+@functools.cache
+def _five_powers():
+    """f (as 32-bit halves), g + t and whether f is rounded, per t from _T_MIN."""
+    rows = {}
+    p = 1
+    for t in range(_T_MAX + 1):
+        g = p.bit_length() - 64
+        rows[t] = (p >> g if g >= 0 else p << -g, g + t, g > 0)
+        p *= 5
+    p = 1
+    for t in range(1, -_T_MIN + 1):
+        p *= 5
+        g = 63 + p.bit_length()
+        rows[-t] = ((1 << g) // p, -g - t, True)
+    f, shift, rounded = zip(*(rows[t] for t in range(_T_MIN, _T_MAX + 1)))
+    f = np.array(f, _U64)
+    return f >> _U64(32), f & _LOW32, np.array(shift), np.array(rounded)
 
 
-_POINT_ROW = ",%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n"
-# No right value, integrand, interval charge or right jump after the horizon.
-_TERMINAL_ROW = ",%.17g,,,,%.17g,\n"
-_BLOCK_ROWS = 4096
+@functools.cache
+def _decades():
+    """Per biased exponent b: E with 10**E <= 2**(b - 1023), and 10**(E + 1)."""
+    below = np.floor(np.log10(2.0) * (np.arange(2048) - 1023)).astype(np.int64)
+    with np.errstate(over="ignore"):
+        return below, 10.0 ** (below + 1.0)
+
+
+def _product(m, j):
+    """The 128-bit product of m and f at table index j, as high and low 64-bit halves."""
+    f_high, f_low, _, _ = _five_powers()
+    f1, f0 = f_high[j], f_low[j]
+    m1, m0 = m >> _U64(32), m & _LOW32
+    low = m0 * f0
+    cross = m0 * f1
+    mid = (low >> _U64(32)) + (cross & _LOW32) + m1 * f0
+    return m1 * f1 + (cross >> _U64(32)) + (mid >> _U64(32)), (low & _LOW32) | (mid << _U64(32))
+
+
+def _scaled(m, b, t):
+    """floor(m * 2**(b - 1075) * 10**t), its rounding, and whether that rounding is exact."""
+    j = t - _T_MIN
+    high, low = _product(m, j)
+    _, _, shift, rounded = _five_powers()
+    s = 1075 - b - shift[j]
+    exact = s <= 63
+    s = np.minimum(s, 63).astype(_U64)
+    floor = (high << (_U64(64) - s)) | (low >> s)
+    below = (_U64(1) << s) - _U64(1)
+    half = _U64(1) << (s - _U64(1))
+    rest = low & below
+    n = floor + ((rest > half) | ((rest == half) & (floor & _U64(1)).astype(bool)))
+    # the bound from f + 1, where f is rounded
+    rest += np.where(rounded[j], m, _U64(0))
+    up = floor + (rest >> s)
+    rest &= below
+    up += (rest > half) | ((rest == half) & (up & _U64(1)).astype(bool))
+    return floor, n, exact & (n == up)
+
+
+def _decimal(x):
+    """N, E and where they are exact, for nonzero doubles x."""
+    bits = x.view(_U64)
+    b = (bits >> _U64(52) & _U64(0x7FF)).astype(np.int64)
+    m = bits & _U64(2**52 - 1) | _U64(2**52)
+    normal = (b > 0) & (b < 2047)
+    below, next_power = _decades()
+    t = np.where(normal, 16 - below[b] - (np.abs(x) >= next_power[b]), 0)
+    floor, n, exact = _scaled(m, b, t)
+    # E may be one off: at a power of ten, or where N rounds up to 10**17
+    wrong = normal & ~(exact & (floor >= _U64(10**16)) & (n < _U64(10**17)))
+    if wrong.any():
+        i = np.flatnonzero(wrong)
+        t[i] += np.where(exact[i] & (n[i] >= _U64(10**17)), -1, 1)
+        floor[i], n[i], exact[i] = _scaled(m[i], b[i], t[i])
+    exact &= normal & (floor >= _U64(10**16)) & (n < _U64(10**17))
+    return n, 16 - t, exact
+
+
+# A cell's text is written into a slot of _SLOT bytes: '-', the '0' of
+# '0.', 17 integer digits, '.', the zeros after '0.', 17 fraction digits,
+# and 'e', sign and three exponent digits.  N's digits go into both digit
+# runs, and _keep_patterns(), indexed by sign, layout class and significant digits,
+# marks the bytes that '%.17g' prints.
+_SLOT = 45
+_INT, _DOT, _FRAC, _EXP = 2, 19, 23, 40
+_SLOT_TEXT = np.frombuffer(b"-0" + bytes(17) + b".000" + bytes(17) + b"e" + bytes(4), np.uint8)
+# classes 0..20 print E = -4..16 without an exponent; 21 and 22 with two and three exponent digits
+_CLASSES = 23
+
+
+@functools.cache
+def _keep_patterns():
+    neg = np.arange(2)[:, None, None, None]
+    cls = np.arange(_CLASSES)[:, None, None]
+    digits = np.arange(18)[:, None]
+    pos = np.arange(_SLOT)
+    fixed = cls <= 20
+    e = cls - 4
+    whole = np.where(fixed, np.maximum(e + 1, 0), 1)  # digits before the '.'
+    i, z, f = pos - _INT, pos - _DOT - 1, pos - _FRAC
+    keep = (
+        ((pos == 0) & (neg == 1))
+        | ((pos == 1) & fixed & (e < 0))
+        | ((i >= 0) & (i < whole))
+        | ((pos == _DOT) & (digits > whole))
+        | ((z >= 0) & (z < 3) & fixed & (z < -e - 1))
+        | ((f >= whole) & (f < digits) & (pos < _EXP))
+        | ((pos >= _EXP) & ~fixed & ((pos != _EXP + 2) | (cls == 22)))
+    )
+    return keep.reshape(-1, _SLOT)
+
+
+@functools.cache
+def _digit_tables():
+    """The four digits of 0..9999 as bytes, the significant digits of N up to
+    and including each 4-digit group j of the 16 after the first (0 for a zero
+    group), and the sign and digits of exponents -400..400 as bytes."""
+    chars = np.ascontiguousarray(np.indices((10,) * 4, np.uint8).reshape(4, -1).T) + np.uint8(ord("0"))
+    significant = np.max((chars != ord("0")) * np.arange(1, 5, dtype=np.uint8), axis=1)
+    significant = (significant + np.arange(1, 17, 4, dtype=np.uint8)[:, None]) * (significant > 0)
+    exponents = np.array([b"%+04d" % e for e in range(-400, 401)]).view(np.uint32)
+    return chars.view(np.uint32).ravel(), significant.ravel(), exponents
+
+
+# node >= _NODE_DIGIT[p] prints digit p of its eight
+_NODE_DIGIT = np.array([10**p for p in range(7, 0, -1)] + [0])
+_BLOCK_ROWS = 1024
+
+
+def _write_digits(n, slots):
+    """Write the 17 digits of each N into both digit runs; return its significant digits."""
+    lead = n // _U64(10**16)
+    rest = n - lead * _U64(10**16)
+    high = rest // _U64(10**8)
+    groups = np.empty((n.size, 4), np.intp)  # the 16 digits after the first, in fours
+    for j, part in enumerate((high, rest - high * _U64(10**8))):
+        groups[:, 2 * j] = quotient = part // _U64(10**4)
+        groups[:, 2 * j + 1] = part - quotient * _U64(10**4)
+    digits4, significant, _ = _digit_tables()
+    chars = digits4[groups].view(np.uint8).reshape(slots.shape[:-1] + (16,))
+    lead = (lead + _U64(ord("0"))).reshape(slots.shape[:-1])
+    slots[..., _INT], slots[..., _INT + 1 : _INT + 17] = lead, chars
+    slots[..., _FRAC], slots[..., _FRAC + 1 : _FRAC + 17] = lead, chars
+    significant = significant[groups + np.arange(0, 40000, 10000)]
+    digits = np.maximum(np.maximum(significant[:, 0], significant[:, 1]), 1)
+    return np.maximum(np.maximum(significant[:, 2], significant[:, 3]), digits)
+
+
+def _encode(x, slots, keep):
+    """Write the '%.17g' text of each cell of ``x`` into its slot and mark its bytes.
+
+    ``x`` is a C-contiguous (rows, columns) array, ``slots`` and ``keep``
+    are (rows, columns, _SLOT) views holding _SLOT_TEXT.  Returns the
+    indices of the cells printed by Python, whose slots no longer do.
+    """
+    flat = x.reshape(-1)
+    n = np.zeros(flat.size, _U64)
+    e = np.zeros(flat.size, np.int64)
+    exact = np.ones(flat.size, bool)
+    cells = np.flatnonzero(flat)
+    n[cells], e[cells], exact[cells] = _decimal(flat[cells])
+    digits = _write_digits(n, slots)
+    slots[..., _EXP + 1 :] = _digit_tables()[2][e + 400].view(np.uint8).reshape(x.shape + (4,))
+    cls = np.where((e >= -4) & (e <= 16), e + 4, 21 + (np.abs(e) >= 100))
+    key = ((flat.view(_U64) >> _U64(63)).astype(np.int64) * _CLASSES + cls) * 18 + digits
+    np.take(_keep_patterns(), key.reshape(x.shape), axis=0, out=keep)
+    python = np.unravel_index(np.flatnonzero(~exact), x.shape)
+    if python[0].size:
+        texts = ["%.17g" % v for v in x[python].tolist()]
+        slots[python] = np.array(texts, f"S{_SLOT}").view(np.uint8).reshape(-1, _SLOT)
+        keep[python] = np.arange(_SLOT) < np.array([len(text) for text in texts])[:, None]
+    return python
+
+
+def _row_template(head: bytes, columns: int, gap: bytes, tail: bytes):
+    """A level's row before its node and cells are written, and the bytes that print.
+
+    The row is ``head``, then per column a slot and ``gap``; the last gap
+    holds ``tail``, padded with bytes that do not print.
+    """
+    slot = np.concatenate([_SLOT_TEXT, np.frombuffer(gap, np.uint8)])
+    text = np.concatenate([np.frombuffer(head, np.uint8), np.tile(slot, columns)])
+    keep = np.ones(text.size, bool)
+    end = text.size - len(gap)
+    text[end : end + len(tail)] = np.frombuffer(tail, np.uint8)
+    keep[end + len(tail) :] = False
+    return text, keep
 
 
 def _solution_rows(name: str, sol) -> Iterator[str]:
     """The ``results.csv`` rows of one solution, one text part per block of rows.
 
-    Each level is formatted column-wise in blocks of at most ``_BLOCK_ROWS``
-    nodes: a block's slice of the columns becomes Python floats at once,
-    and the level's one ``%`` template renders every node of it.  Only one
-    block's text exists at a time, whatever the depth.
+    Each level is written in blocks of at most ``_BLOCK_ROWS`` nodes: the
+    block's cells are encoded at once into a byte matrix of the level's row
+    template, and the bytes that print are its text.  Only one block's
+    text exists at a time, whatever the depth.
     """
     tree = sol.value.tree
     times = tree.grid.times()
     value, k = sol.value, sol.increments
     for level in range(tree.depth + 1):
         if level == tree.depth:
+            # no right value, integrand, interval charge or right jump after the horizon
             columns = (value.point[level], k.left[level])
-            cells = _TERMINAL_ROW
+            gap, tail = b",,,,", b",\n"
         else:
             columns = (
                 value.point[level],
@@ -200,13 +401,38 @@ def _solution_rows(name: str, sol) -> Iterator[str]:
                 k.left[level],
                 k.right[level],
             )
-            cells = _POINT_ROW
-        prefix = f"{name},{level},".replace("%", "%%")
-        template = prefix + "%d," + _fmt(times[level]) + cells
-        for start in range(0, tree.n_nodes(level), _BLOCK_ROWS):
-            block = slice(start, start + _BLOCK_ROWS)
-            rows = zip(range(start, block.stop), *(column[block].tolist() for column in columns))
-            yield "".join(map(template.__mod__, rows))
+            gap, tail = b",", b"\n"
+        prefix = f"{name},{level},".encode()
+        head = prefix + bytes(8) + f",{_fmt(times[level])},".encode()
+        template, printed = _row_template(head, len(columns), gap, tail)
+        nodes = tree.n_nodes(level)
+        rows = min(nodes, _BLOCK_ROWS)
+        text = np.empty((rows, template.size), np.uint8)
+        keep = np.empty((rows, template.size), bool)
+        text[:], keep[:] = template, printed
+        cells = np.empty((rows, len(columns)))
+        node_at, slots_at = len(prefix), len(head)
+        for start in range(0, nodes, rows):
+            node = np.arange(start, min(start + rows, nodes))
+            block, mask, values = text[: node.size], keep[: node.size], cells[: node.size]
+            digits = _digit_tables()[0][np.stack(np.divmod(node, 10**4), axis=1)]
+            block[:, node_at : node_at + 8] = digits.view(np.uint8)
+            np.greater_equal(node[:, None], _NODE_DIGIT, out=mask[:, node_at : node_at + 8])
+            for j, column in enumerate(columns):
+                values[:, j] = column[start : start + node.size]
+            shape = (node.size, len(columns), _SLOT + len(gap))
+            slots = block[:, slots_at:].reshape(shape)[..., :_SLOT]
+            python = _encode(values, slots, mask[:, slots_at:].reshape(shape)[..., :_SLOT])
+            yield str(block[mask].data, "utf-8")
+            slots[python] = _SLOT_TEXT
+
+
+# ----------------------------------------------------------------------
+# experiment kinds
+
+
+def _status(ok: bool) -> str:
+    return "pass" if ok else "fail"
 
 
 def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
@@ -266,6 +492,8 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
         for name, ok, sol, summary in _map_ordered(work, range(count), jobs):
             outcomes.append((ok, summary))
             yield from _solution_rows(name, sol)
+            # a written solution is not held while the next one is awaited
+            del sol
 
     _write_atomic(os.path.join(out_dir, "results.csv"), parts())
     summary_header = (

@@ -109,12 +109,16 @@ def _level_views(flat: np.ndarray, levels: int) -> tuple[np.ndarray, ...]:
     return tuple(flat[(1 << i) - 1 : (2 << i) - 1] for i in range(levels))
 
 
-def _heap_array(values, levels: int, label: str) -> np.ndarray:
+def _heap_array(values, levels: int, label: str, floor: bool = False) -> np.ndarray:
     flat = np.asarray(values, dtype=float)
     size = (1 << levels) - 1
     if flat.shape != (size,):
         raise ValueError(f"{label} must have {size} heap-ordered entries, got shape {flat.shape}")
-    if not np.all(np.isfinite(flat)):
+    bad = ~np.isfinite(flat)
+    if floor:
+        # a floor is -inf where it does not bind
+        bad &= flat != -np.inf
+    if np.any(bad):
         raise ValueError(f"{label} contains a non-finite entry")
     return flat
 

@@ -44,6 +44,18 @@ RESULTS_SHA256 = {
     "random-003": "e006aca86ba49189a03ecd1d4bf0950fe92ba8d91d6052594afc901711130ff7",  # cubic
 }
 
+# a deeper run whose cells include values below 1e-11, printed with exponents
+DEEP_SOLVE_CONFIG = """\
+    [experiment]
+    kind = solve
+    depth = 12
+    count = 4
+    seed = 1
+    method = both
+    """
+
+DEEP_RESULTS_SHA256 = "df85dbe4a6297da3f83c9d53e265467a920541a2caa5c45f95826d4e31e720f5"
+
 STEEP_SHA256 = {
     "direct": "950a40100fc29c2b33cd3e86f7205a5b508d5e02b6d85cd7be2c37f9ec28bb17",
     "reduction": "99c0199ef09d84d3276754043abbf193ebd93b58946e4ca4e43339ae94593195",
@@ -83,6 +95,15 @@ def test_solve_results_bytes_are_pinned(tmp_path):
     for row in rows:
         scenarios.setdefault(row.split(b",", 1)[0].decode(), []).append(row)
     assert {name: sha256(lines) for name, lines in scenarios.items()} == RESULTS_SHA256
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_deep_solve_results_bytes_are_pinned(tmp_path, jobs):
+    config = tmp_path / "solve.ini"
+    config.write_text(textwrap.dedent(DEEP_SOLVE_CONFIG))
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(config), "--out-dir", str(out), "--jobs", jobs]) == 0
+    assert sha256([(out / "results.csv").read_bytes()]) == DEEP_RESULTS_SHA256
 
 
 @pytest.mark.parametrize(

@@ -10,6 +10,7 @@ to rounding of the data scale.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from rbsdelab.bsde import (
@@ -286,3 +287,30 @@ def test_envelope_without_zero_terms_keeps_the_zero_generator_bytes():
             solution_arrays(zero_terms.value, zero_terms.integrand, zero_terms.increments),
         )
     assert negative_zero_conds > 0
+
+
+class TestFloorSizes:
+    """``backward_sweep`` names a floor of the wrong size instead of reading part of it."""
+
+    def sweep(self, **floors):
+        sc = random_scenario(np.random.default_rng(4), 4)
+        return backward_sweep(sc.tree, sc.terminal, sc.gen, sc.driver, **floors)
+
+    def test_interval_floor_with_a_level_too_many(self):
+        with pytest.raises(ValueError, match=r"floor must have 15 heap-ordered entries, got shape \(31,\)"):
+            self.sweep(floor=np.full(31, -1.0))
+
+    def test_point_floor_with_a_level_too_many(self):
+        with pytest.raises(ValueError, match=r"point floor must have 31 heap-ordered entries, got shape \(63,\)"):
+            self.sweep(point_floor=np.full(63, -1.0))
+
+    def test_point_floor_with_a_level_too_few(self):
+        with pytest.raises(ValueError, match=r"point floor must have 31 heap-ordered entries, got shape \(15,\)"):
+            self.sweep(point_floor=np.full(15, -1.0))
+
+    def test_a_floor_may_not_bind_but_may_not_be_nan(self):
+        unbound = self.sweep(floor=np.full(15, -np.inf), point_floor=np.full(31, -np.inf))
+        plain = self.sweep()
+        assert unbound.value.points.tobytes() == plain.value.points.tobytes()
+        with pytest.raises(ValueError, match="floor contains a non-finite entry"):
+            self.sweep(floor=np.full(15, np.nan))
