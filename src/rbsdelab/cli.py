@@ -174,8 +174,8 @@ def emit_convergence_table(study: ConvergenceStudy) -> str:
 # that puts N in [10**16, 10**17), and lays them out by E (Steele & White
 # 1990).  With 5**t = (f + d) * 2**g, f a 64-bit integer and 0 <= d < 1,
 # |x| * 10**t is the 117-bit product m * f shifted right by
-# s = 1075 - b - g - t bits, plus m * d shifted alike.  f is 5**t itself for
-# 0 <= t <= 27, so N is exact there, ties included; for other t, N is the
+# s = 1075 - b - g - t bits, plus m * d shifted alike.  f holds 5**t exactly
+# for 0 <= t <= 27, so N is exact there, ties included; for other t, N is the
 # rounding of both bounds, m * f and m * (f + 1), where they agree.  A cell
 # where they do not, or whose double is subnormal or not finite, is printed
 # by Python, so every byte is the one '%.17g' prints.  The tables are built
