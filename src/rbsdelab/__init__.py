@@ -35,7 +35,6 @@ from .bsde import (
 from .rbsde import (
     SolutionTriple,
     VerificationReport,
-    ReflectedProblem,
     ComparisonReport,
     solve_reflected_direct,
     solve_via_reduction,
@@ -47,7 +46,6 @@ from .rbsde import (
     solution_distance,
 )
 from .penalization import (
-    PenalizedSolution,
     ConvergenceStudy,
     solve_penalized,
     step_one_barrier,
@@ -88,7 +86,6 @@ __all__ = [
     "exponential_transform",
     "SolutionTriple",
     "VerificationReport",
-    "ReflectedProblem",
     "ComparisonReport",
     "solve_reflected_direct",
     "solve_via_reduction",
@@ -98,7 +95,6 @@ __all__ = [
     "default_lower_bound",
     "compare_solutions",
     "solution_distance",
-    "PenalizedSolution",
     "ConvergenceStudy",
     "solve_penalized",
     "step_one_barrier",

@@ -642,7 +642,6 @@ class TransformedProblem:
     identity is exact only in continuous time.
     """
 
-    rate: float
     terminal: np.ndarray
     gen: GeneratorSpec
     driver: AdaptedRegulatedProcess
@@ -733,7 +732,6 @@ def exponential_transform(
             KIncrements(tree, k.intervals * short, k.lefts * factors, k.rights * short),
         )
     return TransformedProblem(
-        rate=a,
         terminal=xi_t,
         gen=gen_t,
         driver=_scale_driver(driver, a),

@@ -28,7 +28,6 @@ from .tree_space import ORACLE_DEPTH_CAP
 from .bsde import SolverError
 from .snell import brute_force_snell, minimality_residuals, snell_envelope
 from .rbsde import (
-    ReflectedProblem,
     compare_solutions,
     solution_distance,
     solve_reflected_direct,
@@ -51,8 +50,8 @@ from .scenarios import (
     load_config,
     make_tree,
     ordered_pair,
+    random_generator,
     random_scenario,
-    representation_scenario,
     scenario_from_config,
     snell_scenario,
 )
@@ -96,6 +95,23 @@ def _scenario_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
+def _count(exp, key: str, default: int) -> int:
+    """``experiment.key`` as a number of items, ``default`` when unset; below 1 raises."""
+    count = exp.getint(key, default)
+    if count < 1:
+        raise ValueError(f"{key} must be at least 1, got {count}")
+    return count
+
+
+@contextlib.contextmanager
+def _named(label: str):
+    """Raise a solver or data error inside the block as a RuntimeError led by ``label``."""
+    try:
+        yield
+    except (SolverError, ValueError) as exc:
+        raise RuntimeError(f"{label}: {exc}") from exc
+
+
 def _scenario_source(cfg, seed: int, depth: int, count: int, prefix: str, cadlag: bool):
     """The number of a run's scenarios, and the function that builds each.
 
@@ -113,7 +129,7 @@ def _scenario_source(cfg, seed: int, depth: int, count: int, prefix: str, cadlag
         rng = _scenario_rng(seed, index)
         return random_scenario(rng, depth, horizon, name=f"{prefix}-{index:03d}", cadlag=cadlag)
 
-    return (1 if "scenario" in cfg else exp.getint("count", count)), build
+    return (1 if "scenario" in cfg else _count(exp, "count", count)), build
 
 
 def _map_ordered(fn, items, jobs: int) -> Iterator:
@@ -447,7 +463,7 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
         # more instances than there are workers.
         scenario = build(index)
         data = (scenario.terminal, scenario.gen, scenario.driver, scenario.barrier)
-        try:
+        with _named(f"scenario {scenario.name}"):
             gap = None
             if method == "reduction":
                 sol = solve_via_reduction(*data, bound=scenario.bound)
@@ -457,8 +473,6 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
                     other = solve_via_reduction(*data, bound=scenario.bound)
                     gap = max(solution_distance(sol, other).values())
             report = verify_solution(sol, *data)
-        except (SolverError, ValueError) as exc:
-            raise RuntimeError(f"scenario {scenario.name}: {exc}") from exc
         scale = max(scenario.scale(), sol.value.scale()) * tol_scale
         ok = (
             report.dynamics_residual <= RESIDUAL_TOL * scale
@@ -510,31 +524,28 @@ def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bo
     depth = exp.getint("depth", 3)
     if depth > ORACLE_DEPTH_CAP:
         raise ValueError(f"oracle checks are capped at depth {ORACLE_DEPTH_CAP}")
-    count = exp.getint("count", 20)
+    count = _count(exp, "count", 20)
 
     def work(index: int):
         rng = _scenario_rng(seed, index)
-        if index % 2 == 0:
+        check = "envelope" if index % 2 == 0 else "representation"
+        if check == "envelope":
             scenario = snell_scenario(rng, depth, name=f"envelope-{index:03d}")
-            envelope = snell_envelope(scenario.barrier, scenario.terminal)
-            oracle = brute_force_snell(scenario.barrier, scenario.terminal)
-            cont, jump = minimality_residuals(envelope, scenario.barrier)
-            dev = max(
-                float(np.max(np.abs(envelope.value.points - oracle.points))),
-                float(np.max(np.abs(envelope.value.rights - oracle.rights))),
-                abs(cont),
-                abs(jump),
-            )
-            check = "envelope"
         else:
-            scenario = representation_scenario(rng, depth, name=f"stopped-{index:03d}")
-            sol = solve_reflected_direct(
-                scenario.terminal, scenario.gen, scenario.driver, scenario.barrier
-            )
-            dev = stopping_representation_check(
-                sol, scenario.terminal, scenario.gen, scenario.driver, scenario.barrier
-            )
-            check = "representation"
+            gen = random_generator(rng, nonzero=True)
+            scenario = random_scenario(rng, depth, name=f"stopped-{index:03d}", gen=gen)
+        data = (scenario.terminal, scenario.gen, scenario.driver, scenario.barrier)
+        with _named(f"scenario {scenario.name}"):
+            if check == "envelope":
+                envelope = snell_envelope(scenario.barrier, scenario.terminal)
+                oracle = brute_force_snell(scenario.barrier, scenario.terminal)
+                dev = max(
+                    float(np.max(np.abs(envelope.value.points - oracle.points))),
+                    float(np.max(np.abs(envelope.value.rights - oracle.rights))),
+                    *map(abs, minimality_residuals(envelope, scenario.barrier)),
+                )
+            else:
+                dev = stopping_representation_check(solve_reflected_direct(*data), *data)
         threshold = RESIDUAL_TOL * scenario.scale() * tol_scale
         ok = dev <= threshold
         row = ",".join([scenario.name, check, _fmt(dev), _fmt(threshold), _status(ok)])
@@ -556,7 +567,7 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
 
     def work(index: int):
         scenario = build(index)
-        try:
+        with _named(f"scenario {scenario.name}"):
             study = convergence_study(
                 scenario.terminal,
                 scenario.gen,
@@ -566,8 +577,6 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
                 mode=mode,
                 bound=scenario.bound,
             )
-        except (SolverError, ValueError) as exc:
-            raise RuntimeError(f"scenario {scenario.name}: {exc}") from exc
         table = emit_convergence_table(study)
         worst_mono = max(row.monotonicity_violation for row in study.rows)
         gaps = [row.sup_gap_y for row in study.rows]
@@ -597,7 +606,7 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
 def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
     exp = cfg["experiment"]
     steps = exp.getint("steps", 16)
-    count = exp.getint("paths", 20)
+    count = _count(exp, "paths", 20)
     dimension = exp.getint("dimension", 1)
     powers = [float(tok) for tok in exp.get("powers", "1,1.5,2").split(",")]
     grid = TimeGrid(horizon=exp.getfloat("horizon", 1.0), steps=steps)
@@ -642,7 +651,7 @@ def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
 def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
     exp = cfg["experiment"]
     depth = exp.getint("depth", 4)
-    count = exp.getint("count", 25)
+    count = _count(exp, "count", 25)
 
     def work(index: int):
         rng = _scenario_rng(seed, index)
@@ -650,13 +659,8 @@ def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> b
             first, second = ordered_pair(rng, depth, name=f"pair-{index:03d}")
         else:
             first, second = equal_barrier_pair(rng, depth, name=f"pair-{index:03d}")
-        try:
-            report = compare_solutions(
-                ReflectedProblem(first.terminal, first.gen, first.driver, first.barrier),
-                ReflectedProblem(second.terminal, second.gen, second.driver, second.barrier),
-            )
-        except (SolverError, ValueError) as exc:
-            raise RuntimeError(f"pair {index}: {exc}") from exc
+        with _named(f"pair {index}"):
+            report = compare_solutions(first, second)
         scale = max(first.scale(), second.scale()) * tol_scale
         if not report.valid:
             row = ",".join(
@@ -765,7 +769,7 @@ def main(argv: list[str] | None = None) -> int:
             tolerance_scale=args.tolerance_scale,
             verb=args.verb,
         )
-    except (ValueError, RuntimeError, OSError, configparser.Error, SolverError) as exc:
+    except (ValueError, RuntimeError, OSError, configparser.Error) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

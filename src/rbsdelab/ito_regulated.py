@@ -23,7 +23,6 @@ from .grid_path import TimeGrid
 __all__ = [
     "DiscreteSemimartingalePath",
     "SmoothFunctionSpec",
-    "PowerResidual",
     "make_function",
     "check_consistency",
     "ito_residual",
@@ -337,24 +336,14 @@ def _interval_curvature(
     return np.where(live, r ** (p - 2.0), 0.0), np.sum(c * c, axis=1), along * along
 
 
-@dataclass
-class PowerResidual:
-    """Residual series of the norm-power expansion.
-
-    For p = 1 the unexplained continuous part estimates the increasing
-    process that the identity asserts to exist without naming; it is
-    reported, not asserted, beyond nonnegativity and monotonicity.
-    """
-
-    p: float
-    residual: np.ndarray
-    local_time_estimate: np.ndarray | None
-
-
 def power_residual(
     path: DiscreteSemimartingalePath, p: float, margin: float = 0.0
-) -> PowerResidual:
+) -> np.ndarray:
     """Expansion defect for the p-th power of the norm, p in [1, 2].
+
+    For p = 1 the defect's continuous part estimates the increasing process
+    that the identity asserts to exist without naming; it is reported, not
+    asserted, beyond nonnegativity and monotonicity.
 
     Parameters
     ----------
@@ -389,9 +378,7 @@ def power_residual(
             jminus,
         ]
     )
-    res = _defect(np.linalg.norm(point, axis=1) ** p, terms)
-    local = res.copy() if p == 1.0 else None
-    return PowerResidual(p=float(p), residual=res, local_time_estimate=local)
+    return _defect(np.linalg.norm(point, axis=1) ** p, terms)
 
 
 def power_jump_terms(

@@ -19,7 +19,6 @@ from .rbsde import barrier_transform, lower_bound_along, solve_reflected_direct
 from .tree_space import AdaptedRegulatedProcess
 
 __all__ = [
-    "PenalizedSolution",
     "sigma_array",
     "solve_penalized",
     "step_one_barrier",
@@ -61,24 +60,6 @@ def sigma_array(
     return mask
 
 
-@dataclass
-class PenalizedSolution(SolutionTriple):
-    """Level-n approximation of ``scheme``, with its split increasing process.
-
-    ``increments`` has no left jumps: ``interval[i]`` is the penalty mass
-    accrued on (t_i, t_{i+1}), ``right[i]`` the correction charges, supported
-    on the detection set.
-    """
-
-    n: int
-    scheme: str
-
-    def kd_mass(self) -> float:
-        tree, right = self.value.tree, self.increments.right
-        masses = (tree.node_probability(i) * float(np.sum(right[i])) for i in range(tree.depth))
-        return float(sum(masses))
-
-
 def solve_penalized(
     terminal: np.ndarray,
     gen: GeneratorSpec,
@@ -86,14 +67,16 @@ def solve_penalized(
     barrier: AdaptedRegulatedProcess,
     n: int,
     scheme: str = "modified",
-) -> PenalizedSolution:
+) -> SolutionTriple:
     """Backward sweep with a linear interval penalty of strength n.
 
     No reflection acts at left limits.  The interval step absorbs the
     penalty n(y - L(t_i+))^- in closed form inside the implicit solve.  In
     the modified scheme, right jumps are corrected at detection nodes by
     reflecting on the barrier's point value; the classic scheme never
-    corrects.
+    corrects.  The increments have no left jumps: ``interval[i]`` is the
+    penalty mass accrued on (t_i, t_{i+1}), ``right[i]`` the correction
+    charges, supported on the detection set.
 
     Raises
     ------
@@ -108,14 +91,13 @@ def solve_penalized(
     point_floor = None
     if scheme == "modified":
         point_floor = np.where(sigma_array(barrier, driver, n), barrier.points, -np.inf)
-    trip = backward_sweep(
+    return backward_sweep(
         driver.tree, terminal, gen, driver, barrier.rights, point_floor, penalty=float(n)
     )
-    return PenalizedSolution(trip.value, trip.integrands, trip.increments, n=int(n), scheme=scheme)
 
 
 def step_one_barrier(
-    sol: PenalizedSolution, barrier: AdaptedRegulatedProcess
+    sol: SolutionTriple, barrier: AdaptedRegulatedProcess
 ) -> AdaptedRegulatedProcess:
     """Barrier actually enforced by a penalized solution.
 
@@ -180,6 +162,13 @@ def _monotonicity_violation(
     if worst <= MONOTONE_EQUALITY_TOL * reference.scale():
         return 0.0
     return worst
+
+
+def _kd_mass(sol: SolutionTriple) -> float:
+    """Expected correction mass: the right-jump charges weighed by node probability."""
+    tree, right = sol.value.tree, sol.increments.right
+    masses = (tree.node_probability(i) * float(np.sum(right[i])) for i in range(tree.depth))
+    return float(sum(masses))
 
 
 def _z_gaps(sol: SolutionTriple, reference: SolutionTriple) -> tuple[float, float]:
@@ -254,7 +243,7 @@ def convergence_study(
                 ),
                 l1_gap_z=l1,
                 l2_gap_z=l2,
-                kd_mass=sol.kd_mass(),
+                kd_mass=_kd_mass(sol),
             )
         )
         # only the value meets the next level; the solution must not outlive this one

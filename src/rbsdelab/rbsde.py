@@ -35,7 +35,7 @@ __all__ = [
     "KIncrements",
     "SolutionTriple",
     "VerificationReport",
-    "ReflectedProblem",
+    "Scenario",
     "ComparisonReport",
     "solve_reflected_direct",
     "verify_solution",
@@ -368,24 +368,35 @@ def solve_via_reduction(
 
 
 @dataclass
-class ReflectedProblem:
-    """Input bundle for one reflected solve."""
+class Scenario:
+    """One reflected-equation instance: data, not solutions."""
 
+    name: str
+    tree: TreeSpace
     terminal: np.ndarray
     gen: GeneratorSpec
     driver: AdaptedRegulatedProcess
     barrier: AdaptedRegulatedProcess
+    bound: np.ndarray | None = None
+
+    def scale(self) -> float:
+        return max(
+            1.0,
+            float(np.max(np.abs(self.terminal))),
+            self.barrier.max_abs(),
+            self.driver.max_abs(),
+        )
 
 
 @dataclass
 class ComparisonReport:
-    """Outcome of an ordered-data comparison between two problems.
+    """Outcome of an ordered-data comparison between two scenarios.
 
     ``valid`` is False when the data fail the required partial order; the
     remaining fields are then None.  ``y_violation`` is the largest amount
     by which the first solution exceeds the second anywhere (zero when the
     order holds).  For identical barriers ``dk_violation`` reports, per
-    charge component, the largest amount by which the second problem's
+    charge component, the largest amount by which the second scenario's
     charge exceeds the first's (the charges shrink when the data grow).
     """
 
@@ -394,14 +405,12 @@ class ComparisonReport:
     equal_barrier: bool | None = None
     y_violation: float | None = None
     dk_violation: dict[str, float] | None = None
-    first: SolutionTriple | None = None
-    second: SolutionTriple | None = None
 
 
-def compare_solutions(first: ReflectedProblem, second: ReflectedProblem) -> ComparisonReport:
-    """Solve both problems and report the order of solutions and charges.
+def compare_solutions(first: Scenario, second: Scenario) -> ComparisonReport:
+    """Solve both scenarios and report the order of solutions and charges.
 
-    Requires the second problem to dominate the first: terminal values,
+    Requires the second scenario to dominate the first: terminal values,
     driver increments (left and right jumps separately), barrier values,
     and generator values along the second solution.  Failures of these data
     preconditions yield an invalid report, not an exception.
@@ -458,8 +467,6 @@ def compare_solutions(first: ReflectedProblem, second: ReflectedProblem) -> Comp
         equal_barrier=equal,
         y_violation=violation,
         dk_violation=dk,
-        first=sol1,
-        second=sol2,
     )
 
 

@@ -11,13 +11,14 @@ comparison tools require.
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .grid_path import TimeGrid
 from .tree_space import AdaptedRegulatedProcess, TreeSpace, build_tree
 from .bsde import GeneratorSpec, make_generator, table_generator
+from .rbsde import Scenario
 
 __all__ = [
     "DEFAULT_HORIZON",
@@ -30,8 +31,6 @@ __all__ = [
     "level_shifted_generator",
     "random_scenario",
     "snell_scenario",
-    "representation_scenario",
-    "cadlag_scenario",
     "interval_table_scenario",
     "refinable_scenario",
     "ordered_pair",
@@ -43,27 +42,6 @@ __all__ = [
 ]
 
 DEFAULT_HORIZON = 1.0
-
-
-@dataclass
-class Scenario:
-    """One reflected-equation instance: data, not solutions."""
-
-    name: str
-    tree: TreeSpace
-    terminal: np.ndarray
-    gen: GeneratorSpec
-    driver: AdaptedRegulatedProcess
-    barrier: AdaptedRegulatedProcess
-    bound: np.ndarray | None = None
-
-    def scale(self) -> float:
-        return max(
-            1.0,
-            float(np.max(np.abs(self.terminal))),
-            self.barrier.max_abs(),
-            self.driver.max_abs(),
-        )
 
 
 def make_tree(depth: int, horizon: float = DEFAULT_HORIZON) -> TreeSpace:
@@ -191,21 +169,6 @@ def snell_scenario(rng: np.random.Generator, depth: int, name: str = "snell") ->
         AdaptedRegulatedProcess.zeros(tree),
         barrier,
     )
-
-
-def representation_scenario(
-    rng: np.random.Generator, depth: int, name: str = "representation"
-) -> Scenario:
-    """Instance with a forcing term and a driver that both matter."""
-    scenario = random_scenario(
-        rng, depth, name=name, gen=random_generator(rng, nonzero=True)
-    )
-    return scenario
-
-
-def cadlag_scenario(rng: np.random.Generator, depth: int, name: str = "cadlag") -> Scenario:
-    """Right-continuous barrier and forcing: the classical special case."""
-    return random_scenario(rng, depth, name=name, cadlag=True)
 
 
 def interval_table_scenario(

@@ -38,8 +38,6 @@ __all__ = [
 DEPTH_CAP = 20
 ORACLE_DEPTH_CAP = 4
 
-MARTINGALE_TOL = 1e-10
-
 
 @dataclass(frozen=True)
 class TreeSpace:
@@ -91,16 +89,16 @@ class TreeSpace:
         return levels
 
 
-def build_tree(grid: TimeGrid, depth_cap: int = DEPTH_CAP) -> TreeSpace:
+def build_tree(grid: TimeGrid) -> TreeSpace:
     """Construct the tree space for ``grid``.
 
     Raises
     ------
     ValueError
-        If the grid has more than ``depth_cap`` steps; storage is 2**N.
+        If the grid has more than ``DEPTH_CAP`` steps; storage is 2**N.
     """
-    if grid.steps > depth_cap:
-        raise ValueError(f"depth {grid.steps} exceeds cap {depth_cap}")
+    if grid.steps > DEPTH_CAP:
+        raise ValueError(f"depth {grid.steps} exceeds cap {DEPTH_CAP}")
     return TreeSpace(grid=grid)
 
 
@@ -361,32 +359,14 @@ def _child_level(tree: TreeSpace, child_values: np.ndarray) -> np.ndarray:
     return values
 
 
-def martingale_representation(
-    tree: TreeSpace,
-    child_values: np.ndarray,
-    parent_values: np.ndarray | None = None,
-    tol: float = MARTINGALE_TOL,
-) -> np.ndarray:
+def martingale_representation(tree: TreeSpace, child_values: np.ndarray) -> np.ndarray:
     """Integrand Z reproducing a one-step martingale increment exactly.
 
     With children (down, up) of a parent m, the unique Z with
     up = m + Z*sqrt(dt) and down = m - Z*sqrt(dt) is the halved sibling
-    difference over sqrt(dt).  If ``parent_values`` is supplied it is checked
-    against the sibling mean; a residual above ``tol`` (scaled) means the
-    input was not a martingale increment and is rejected.
+    difference over sqrt(dt).
     """
     values = _child_level(tree, child_values)
-    if parent_values is not None:
-        mean = conditional_expectation(tree, values)
-        parent = np.asarray(parent_values, dtype=float)
-        if parent.shape != mean.shape:
-            raise ValueError("parent level does not match the child level")
-        scale = max(1.0, float(np.max(np.abs(values))))
-        residual = float(np.max(np.abs(parent - mean)))
-        if residual > tol * scale:
-            raise ValueError(
-                f"not a martingale increment: reconstruction residual {residual:.3e}"
-            )
     return (values[1::2] - values[0::2]) / (2.0 * tree.sqrt_dt)
 
 

@@ -33,7 +33,6 @@ from rbsdelab.penalization import (
     step_one_barrier,
 )
 from rbsdelab.rbsde import (
-    ReflectedProblem,
     compare_solutions,
     solution_distance,
     solve_reflected_direct,
@@ -42,14 +41,13 @@ from rbsdelab.rbsde import (
     verify_solution,
 )
 from rbsdelab.scenarios import (
-    cadlag_scenario,
     equal_barrier_pair,
     interval_table_scenario,
     ordered_pair,
     perturbation_pair,
+    random_generator,
     random_scenario,
     refinable_scenario,
-    representation_scenario,
     snell_scenario,
 )
 from rbsdelab.snell import brute_force_snell, minimality_residuals, snell_envelope
@@ -84,7 +82,8 @@ def _representation_cases():
     if not _REPRESENTATION_CASES:
         rng = np.random.default_rng(SEED + 2)
         for index in range(50):
-            sc = representation_scenario(rng, 1 + index % 4, name=f"repr-{index:03d}")
+            gen = random_generator(rng, nonzero=True)
+            sc = random_scenario(rng, 1 + index % 4, name=f"repr-{index:03d}", gen=gen)
             trip = solve_reflected_direct(sc.terminal, sc.gen, sc.driver, sc.barrier)
             _REPRESENTATION_CASES.append((sc, trip))
     return _REPRESENTATION_CASES
@@ -173,7 +172,7 @@ def test_criterion_04_charges_act_only_on_contact():
     rng = np.random.default_rng(SEED + 4)
     cadlag_ok = True
     for index in range(25):
-        sc = cadlag_scenario(rng, 1 + index % 6, name=f"cadlag-{index:03d}")
+        sc = random_scenario(rng, 1 + index % 6, name=f"cadlag-{index:03d}", cadlag=True)
         trip = solve_reflected_direct(sc.terminal, sc.gen, sc.driver, sc.barrier)
         report = verify_solution(trip, sc.terminal, sc.gen, sc.driver, sc.barrier)
         if any(np.any(r != 0.0) for r in trip.increments.right):
@@ -280,20 +279,14 @@ def test_criterion_07_order_preserved_under_ordered_data():
     dk_worst = 0.0
     for index in range(200):
         lo, hi = ordered_pair(rng, 1 + index % 5, name=f"ordered-{index:03d}")
-        report = compare_solutions(
-            ReflectedProblem(lo.terminal, lo.gen, lo.driver, lo.barrier),
-            ReflectedProblem(hi.terminal, hi.gen, hi.driver, hi.barrier),
-        )
+        report = compare_solutions(lo, hi)
         if not report.valid:
             invalid += 1
             continue
         y_worst = max(y_worst, report.y_violation)
     for index in range(100):
         lo, hi = equal_barrier_pair(rng, 1 + index % 5, name=f"shared-{index:03d}")
-        report = compare_solutions(
-            ReflectedProblem(lo.terminal, lo.gen, lo.driver, lo.barrier),
-            ReflectedProblem(hi.terminal, hi.gen, hi.driver, hi.barrier),
-        )
+        report = compare_solutions(lo, hi)
         if not report.valid or not report.equal_barrier:
             invalid += 1
             continue
@@ -345,7 +338,7 @@ def test_criterion_08_pathwise_expansions_are_exact_and_consistent():
                 exact_worst, float(np.max(np.abs(product_residual(path, other))))
             )
         exact_worst = max(
-            exact_worst, float(np.max(np.abs(power_residual(path, 2.0).residual)))
+            exact_worst, float(np.max(np.abs(power_residual(path, 2.0))))
         )
         for p in (1.0, 1.5, 2.0):
             ok, _ = cor4_inequality_check(path, p, tol=1e-10)
@@ -392,7 +385,7 @@ def test_criterion_08_pathwise_expansions_are_exact_and_consistent():
             jump_stride=16,
         )
         for j, factor in enumerate((4, 2, 1)):
-            res = power_residual(_coarsen(fine, factor), 1.5, margin=0.3).residual
+            res = power_residual(_coarsen(fine, factor), 1.5, margin=0.3)
             sups[j] += float(np.max(np.abs(res)))
     slopes.append(-np.polyfit(np.log(sizes), np.log(sups / draws), 1)[0])
 

@@ -297,17 +297,24 @@ class TestSolutionRows:
     def test_text_held_is_flat_in_depth(self, monkeypatch):
         monkeypatch.setattr(cli, "_BLOCK_ROWS", 256)
 
-        def drain_peak(depth):
-            sc, sol = direct_solution(depth)
+        def drain(sc, sol):
+            for _ in cli._solution_rows(sc.name, sol):
+                pass
+
+        def drain_peak(solved):
             tracemalloc.start()
             try:
-                for _ in cli._solution_rows(sc.name, sol):
-                    pass
+                drain(*solved)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
 
-        shallow, deep = drain_peak(10), drain_peak(12)
+        solved = [direct_solution(depth) for depth in (10, 12)]
+        # the encoder's cached tables and numpy's first-use paths are built
+        # by an untraced drain, so neither peak counts them
+        for pair in solved:
+            drain(*pair)
+        shallow, deep = map(drain_peak, solved)
         assert abs(deep - shallow) <= 0.1 * shallow, (shallow, deep)
 
 
@@ -473,6 +480,26 @@ class TestOracleVerb:
         )
         code = main(["oracle-check", "--config", config, "--out-dir", str(tmp_path / "o")])
         assert code == 2
+
+    def test_a_solver_error_names_its_scenario(self, tmp_path, monkeypatch, capsys):
+        def failing_direct(*data):
+            raise SolverError("planted failure")
+
+        monkeypatch.setattr(cli, "solve_reflected_direct", failing_direct)
+        config = write_config(
+            tmp_path,
+            """\
+            [experiment]
+            kind = oracle-check
+            depth = 2
+            count = 2
+            seed = 13
+            """,
+        )
+        out = tmp_path / "out"
+        assert main(["oracle-check", "--config", config, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: scenario stopped-001: planted failure\n"
+        assert not (out / "summary.csv").exists()
 
 
 class TestCompareVerb:
@@ -852,6 +879,32 @@ class TestErrorHandling:
         assert main([kind, "--config", config, "--out-dir", str(out), "--jobs", str(jobs)]) == 2
         err = capsys.readouterr().err
         assert err == "error: barrier_point expects 3 level rows separated by ';', got 2\n"
+        assert sorted(out.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [0, -3])
+    @pytest.mark.parametrize(
+        "kind, key",
+        [
+            ("solve", "count"),
+            ("penalize", "count"),
+            ("oracle-check", "count"),
+            ("compare", "count"),
+            ("ito-check", "paths"),
+        ],
+    )
+    def test_a_count_below_one_is_a_usage_error(self, tmp_path, capsys, kind, key, value):
+        config = write_config(
+            tmp_path,
+            f"""\
+            [experiment]
+            kind = {kind}
+            depth = 2
+            {key} = {value}
+            """,
+        )
+        out = tmp_path / "out"
+        assert main([kind, "--config", config, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be at least 1, got {value}\n"
         assert sorted(out.iterdir()) == []
 
     def test_verb_is_required(self):

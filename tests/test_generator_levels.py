@@ -16,7 +16,6 @@ from rbsdelab.bsde import (
 )
 from rbsdelab.penalization import solve_penalized
 from rbsdelab.rbsde import (
-    ReflectedProblem,
     compare_solutions,
     solve_reflected_direct,
     solve_via_reduction,
@@ -69,9 +68,7 @@ ROUTES = {
     "stopping": lambda sc: stopping_representation_check(
         solved(sc), sc.terminal, sc.gen, sc.driver, sc.barrier
     ),
-    "compare": lambda sc: compare_solutions(
-        *[ReflectedProblem(sc.terminal, sc.gen, sc.driver, sc.barrier)] * 2
-    ),
+    "compare": lambda sc: compare_solutions(sc, sc),
     "penalized-modified": lambda sc: solve_penalized(
         sc.terminal, sc.gen, sc.driver, sc.barrier, 8
     ),

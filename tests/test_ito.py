@@ -196,8 +196,7 @@ class TestPowerResidual:
             path = random_path(grid(32), dimension, rng, jump_rate=0.5)
             out = power_residual(path, 2.0)
             scale = max(1.0, path.max_abs()) ** 2
-            assert float(np.max(np.abs(out.residual))) <= 1e-12 * scale
-            assert out.local_time_estimate is None
+            assert float(np.max(np.abs(out))) <= 1e-12 * scale
 
     @pytest.mark.parametrize("p", [0.5, 2.5])
     def test_rejects_powers_outside_the_range(self, p, rng):
@@ -216,20 +215,18 @@ class TestPowerResidual:
     def test_scalar_absolute_value_away_from_zero_needs_no_correction(self, rng):
         path = random_path_away_from_zero(grid(64), 1, rng, margin=0.2, jump_scale=0.1)
         out = power_residual(path, 1.0)
-        assert float(np.max(np.abs(out.residual))) <= 1e-12
-        np.testing.assert_array_equal(out.local_time_estimate, out.residual)
+        assert float(np.max(np.abs(out))) <= 1e-12
 
     def test_scalar_sign_crossing_is_charged_to_the_estimate(self):
         crossing = DiscreteSemimartingalePath(
             grid(1), [0.5], [[-2.0]], np.zeros((2, 1)), np.zeros((2, 1))
         )
-        out = power_residual(crossing, 1.0)
-        np.testing.assert_array_equal(out.local_time_estimate, [0.0, 3.0])
+        np.testing.assert_array_equal(power_residual(crossing, 1.0), [0.0, 3.0])
 
     def test_scalar_estimate_is_nonnegative_and_nondecreasing(self, rng):
         for _ in range(10):
             path = random_path(grid(64), 1, rng, x0=np.array([0.1]), cont_sigma=0.5)
-            local = power_residual(path, 1.0).local_time_estimate
+            local = power_residual(path, 1.0)
             assert float(np.min(local)) >= -1e-13
             assert float(np.min(np.diff(local))) >= -1e-13
 
@@ -658,7 +655,7 @@ class TestWholePathCodeAgainstTheStepLoops:
             for got, want in zip(power_jump_terms(path, p), reference_power_jump_terms(path, p)):
                 assert_close_at_path_scale(got, want, path)
             assert_close_at_path_scale(
-                power_residual(path, p).residual, reference_power_residual(path, p), path
+                power_residual(path, p), reference_power_residual(path, p), path
             )
             slack = reference_tail_slack(path, p)
             _, worst = cor4_inequality_check(path, p)
@@ -675,7 +672,7 @@ class TestWholePathCodeAgainstTheStepLoops:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             jminus, jplus = power_jump_terms(path, p)
-            residual = power_residual(path, p).residual
+            residual = power_residual(path, p)
             _, worst = cor4_inequality_check(path, p)
         # sgn(0) = 0 drops the gradient atoms at the origin, so the convex
         # corrections are the full powers of the jumps away from it

@@ -11,13 +11,14 @@ from rbsdelab.grid_path import TimeGrid
 from rbsdelab.penalization import (
     MONOTONE_EQUALITY_TOL,
     STUDY_COLUMNS,
+    _kd_mass,
     convergence_study,
     sigma_array,
     solve_penalized,
     step_one_barrier,
 )
 from rbsdelab.rbsde import default_lower_bound, solve_reflected_direct, verify_solution
-from rbsdelab.scenarios import cadlag_scenario, random_scenario
+from rbsdelab.scenarios import random_scenario
 from rbsdelab.tree_space import AdaptedRegulatedProcess, build_tree
 
 from conftest import climbing_scenario, sup_gap
@@ -62,7 +63,7 @@ class TestSigmaDetection:
         assert counts == sorted(counts)
 
     def test_cadlag_data_never_detects(self, rng):
-        sc = cadlag_scenario(rng, depth=4, name="cad")
+        sc = random_scenario(rng, depth=4, name="cad", cadlag=True)
         driver = AdaptedRegulatedProcess.zeros(sc.tree)
         for n in range(1, 65):
             assert np.count_nonzero(sigma_array(sc.barrier, driver, n)) == 0
@@ -94,7 +95,7 @@ class TestSolvePenalized:
         _, barrier, terminal, gen, driver = spike_setup()
         sol = solve_penalized(terminal, gen, driver, barrier, 4096, scheme="classic")
         assert sol.value.point[0][0] == 0.0
-        assert sol.kd_mass() == 0.0
+        assert _kd_mass(sol) == 0.0
 
     def test_inactive_penalty_reproduces_the_plain_solve(self, rng):
         sc = random_scenario(rng, depth=5, name="inactive")
@@ -106,13 +107,13 @@ class TestSolvePenalized:
             assert all(float(np.max(a)) == 0.0 for a in sol.increments.interval)
 
     def test_schemes_coincide_on_cadlag_barriers(self, rng):
-        sc = cadlag_scenario(rng, depth=5, name="cad")
+        sc = random_scenario(rng, depth=5, name="cad", cadlag=True)
         driver = AdaptedRegulatedProcess.zeros(sc.tree)
         for n in (2, 32):
             modified = solve_penalized(sc.terminal, sc.gen, driver, sc.barrier, n)
             classic = solve_penalized(sc.terminal, sc.gen, driver, sc.barrier, n, scheme="classic")
             assert sup_gap(modified.value, classic.value) == 0.0
-            assert modified.kd_mass() == 0.0
+            assert _kd_mass(modified) == 0.0
 
     def test_approximations_increase_to_the_reflected_solution(self, rng):
         sc = random_scenario(rng, depth=5, name="mono")
@@ -172,7 +173,7 @@ class TestConvergenceStudy:
         assert study.rows[-1].l1_gap_z <= study.rows[0].l1_gap_z + 1e-12
         for row, n in zip(study.rows, levels):
             sol = solve_penalized(sc.terminal, sc.gen, sc.driver, sc.barrier, n)
-            assert row.kd_mass == sol.kd_mass()
+            assert row.kd_mass == _kd_mass(sol)
             assert len(dataclasses.astuple(row)) == len(STUDY_COLUMNS)
 
     def test_classic_study_tracks_the_transformed_right_field(self, rng):

@@ -1,4 +1,5 @@
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from rbsdelab.bsde import make_generator, solve_bsde
 from rbsdelab.cli import ROUTE_TOL
 from rbsdelab.grid_path import TimeGrid
 from rbsdelab.rbsde import (
-    ReflectedProblem,
     barrier_transform,
     compare_solutions,
     default_lower_bound,
@@ -19,7 +19,6 @@ from rbsdelab.rbsde import (
     verify_solution,
 )
 from rbsdelab.scenarios import (
-    cadlag_scenario,
     equal_barrier_pair,
     ordered_pair,
     random_scenario,
@@ -61,10 +60,6 @@ def traced_peak(fn, *args):
 
 def solve_scenario(sc):
     return solve_reflected_direct(sc.terminal, sc.gen, sc.driver, sc.barrier)
-
-
-def as_problem(sc):
-    return ReflectedProblem(sc.terminal, sc.gen, sc.driver, sc.barrier)
 
 
 class TestDirectSolve:
@@ -227,7 +222,7 @@ class TestReduction:
             assert dist["k_right"] <= tol
 
     def test_agrees_on_cadlag_barriers(self, rng):
-        sc = cadlag_scenario(rng, depth=5, name="cad")
+        sc = random_scenario(rng, depth=5, name="cad", cadlag=True)
         direct = solve_scenario(sc)
         reduced = solve_via_reduction(sc.terminal, sc.gen, sc.driver, sc.barrier)
         assert solution_distance(direct, reduced)["y"] <= 1e-9 * direct.value.scale()
@@ -314,7 +309,7 @@ class TestReduction:
 class TestComparison:
     def test_identical_problems_compare_equal(self, rng):
         sc = random_scenario(rng, depth=4, name="same")
-        report = compare_solutions(as_problem(sc), as_problem(sc))
+        report = compare_solutions(sc, sc)
         assert report.valid
         assert report.equal_barrier
         assert report.y_violation == 0.0
@@ -322,24 +317,24 @@ class TestComparison:
 
     def test_shifted_terminal_orders_the_values(self, rng):
         sc = random_scenario(rng, depth=4, name="shift")
-        bigger = ReflectedProblem(sc.terminal + 1.0, sc.gen, sc.driver, sc.barrier)
-        report = compare_solutions(as_problem(sc), bigger)
+        bigger = replace(sc, terminal=sc.terminal + 1.0)
+        report = compare_solutions(sc, bigger)
         assert report.valid
         assert report.y_violation == 0.0
-        gap = report.second.value.point[4] - report.first.value.point[4]
+        gap = solve_scenario(bigger).value.point[4] - solve_scenario(sc).value.point[4]
         np.testing.assert_array_equal(gap, np.ones(16))
 
     def test_ordered_pairs_from_the_generator(self, rng):
         for i in range(10):
             first, second = ordered_pair(rng, depth=4, name=f"pair-{i}")
-            report = compare_solutions(as_problem(first), as_problem(second))
+            report = compare_solutions(first, second)
             assert report.valid
             assert report.y_violation == 0.0
 
     def test_equal_barrier_pairs_order_the_charges(self, rng):
         for i in range(10):
             first, second = equal_barrier_pair(rng, depth=4, name=f"eqb-{i}")
-            report = compare_solutions(as_problem(first), as_problem(second))
+            report = compare_solutions(first, second)
             assert report.valid
             assert report.equal_barrier
             assert report.y_violation == 0.0
@@ -347,21 +342,18 @@ class TestComparison:
 
     def test_unordered_data_yields_an_invalid_report(self, rng):
         sc = random_scenario(rng, depth=3, name="bad")
-        prob = as_problem(sc)
-        lower_terminal = ReflectedProblem(sc.terminal - 1.0, sc.gen, sc.driver, sc.barrier)
-        report = compare_solutions(prob, lower_terminal)
+        lower_terminal = replace(sc, terminal=sc.terminal - 1.0)
+        report = compare_solutions(sc, lower_terminal)
         assert not report.valid
         assert report.reason == "terminal values are not ordered"
         assert report.y_violation is None
 
         other_tree = random_scenario(rng, depth=4, name="othertree")
-        report = compare_solutions(prob, as_problem(other_tree))
+        report = compare_solutions(sc, other_tree)
         assert report.reason == "problems live on different trees"
 
-        smaller_gen = ReflectedProblem(
-            sc.terminal + 1.0, make_generator("constant:-5.0"), sc.driver, sc.barrier
-        )
-        base = ReflectedProblem(sc.terminal, make_generator("constant:0.0"), sc.driver, sc.barrier)
+        smaller_gen = replace(sc, terminal=sc.terminal + 1.0, gen=make_generator("constant:-5.0"))
+        base = replace(sc, gen=make_generator("constant:0.0"))
         report = compare_solutions(base, smaller_gen)
         assert not report.valid
         assert report.reason == "generators are not ordered along the second solution"
@@ -370,9 +362,7 @@ class TestComparison:
         sc = random_scenario(rng, depth=2, name="drv")
         shrunk = sc.driver.copy()
         shrunk.right[0][:] -= 1.0  # shrink one right jump only
-        report = compare_solutions(
-            as_problem(sc), ReflectedProblem(sc.terminal, sc.gen, shrunk, sc.barrier)
-        )
+        report = compare_solutions(sc, replace(sc, driver=shrunk))
         assert not report.valid
         assert "driver" in report.reason
 
@@ -380,9 +370,7 @@ class TestComparison:
         sc = random_scenario(rng, depth=2, name="drv-left")
         lowered = sc.driver.copy()
         lowered.point[2][:] -= 1.0  # changes only the left jumps at the horizon
-        report = compare_solutions(
-            as_problem(sc), ReflectedProblem(sc.terminal, sc.gen, lowered, sc.barrier)
-        )
+        report = compare_solutions(sc, replace(sc, driver=lowered))
         assert not report.valid
         assert report.reason == "driver left jumps are not ordered"
 
@@ -390,18 +378,14 @@ class TestComparison:
         sc = random_scenario(rng, depth=2, name="barr-right")
         lowered = sc.barrier.copy()
         lowered.rights[:] -= 0.5
-        report = compare_solutions(
-            as_problem(sc), ReflectedProblem(sc.terminal, sc.gen, sc.driver, lowered)
-        )
+        report = compare_solutions(sc, replace(sc, barrier=lowered))
         assert not report.valid
         assert report.reason == "barriers are not ordered"
 
     def test_unordered_barriers_are_rejected(self, rng):
         sc = random_scenario(rng, depth=2, name="barr")
         lowered = sc.barrier + (-0.5)
-        report = compare_solutions(
-            as_problem(sc), ReflectedProblem(sc.terminal, sc.gen, sc.driver, lowered)
-        )
+        report = compare_solutions(sc, replace(sc, barrier=lowered))
         assert not report.valid
         assert report.reason == "barriers are not ordered"
 

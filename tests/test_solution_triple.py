@@ -12,9 +12,8 @@ import pytest
 
 from rbsdelab import rbsde
 from rbsdelab.bsde import SolutionTriple, dynamics_residual, generator_values, table_generator
-from rbsdelab.penalization import PenalizedSolution, solve_penalized
+from rbsdelab.penalization import solve_penalized
 from rbsdelab.rbsde import (
-    ReflectedProblem,
     _floor_shortfall,
     compare_solutions,
     solution_distance,
@@ -66,14 +65,6 @@ class TestFlatIntegrand:
 
 
 class TestPenalizedSolution:
-    def test_is_a_triple_with_its_level_and_scheme(self, rng):
-        sc = random_scenario(rng, DEPTH)
-        sol = solve_penalized(sc.terminal, sc.gen, sc.driver, sc.barrier, 8)
-        assert isinstance(sol, SolutionTriple)
-        assert (sol.n, sol.scheme) == (8, "modified")
-        with pytest.raises(TypeError):
-            PenalizedSolution(sol.value, sol.integrands, sol.increments)
-
     def test_checks_take_it_directly(self, rng):
         sc = random_scenario(rng, DEPTH)
         data = (sc.terminal, sc.gen, sc.driver, sc.barrier)
@@ -121,8 +112,7 @@ class TestGeneratorValues:
         first, first_levels = counted(sc.gen)
         second, second_levels = counted(sc.gen)
         report = compare_solutions(
-            ReflectedProblem(sc.terminal, first, sc.driver, sc.barrier),
-            ReflectedProblem(sc.terminal, second, sc.driver, sc.barrier),
+            dataclasses.replace(sc, gen=first), dataclasses.replace(sc, gen=second)
         )
         assert report.valid
         assert first_levels == list(range(DEPTH))

@@ -28,7 +28,7 @@ from rbsdelab.rbsde import (
     solve_reflected_direct,
     solve_via_reduction,
 )
-from rbsdelab.scenarios import Scenario, cadlag_scenario, random_scenario
+from rbsdelab.scenarios import Scenario, random_scenario
 from rbsdelab.snell import snell_envelope
 from rbsdelab.tree_space import (
     AdaptedRegulatedProcess,
@@ -218,7 +218,7 @@ class TestKernelReproducesTheReferenceLoops:
 
     def test_cadlag_scenarios(self, rng):
         for i in range(3):
-            check_every_solve(cadlag_scenario(rng, depth=5, name=f"kernel-cad-{i}"))
+            check_every_solve(random_scenario(rng, depth=5, name=f"kernel-cad-{i}", cadlag=True))
 
 
 def drawn_instance(depth, kind, seed):

@@ -71,7 +71,6 @@ class TestTreeSpace:
     def test_depth_cap(self):
         with pytest.raises(ValueError, match="cap"):
             build_tree(TimeGrid(1.0, 25))
-        build_tree(TimeGrid(1.0, 25), depth_cap=25)
 
 
 class TestConditionalExpectation:
@@ -111,46 +110,36 @@ class TestConditionalExpectation:
 class TestMartingaleRepresentation:
     def test_unit_step_example(self):
         tree = small_tree(1)
-        z = martingale_representation(tree, np.array([0.0, 2.0]), np.array([1.0]))
+        z = martingale_representation(tree, np.array([0.0, 2.0]))
         np.testing.assert_array_equal(z, [1.0])
 
     def test_constant_martingale_has_zero_integrand(self):
         tree = small_tree(3)
-        z = martingale_representation(tree, np.full(8, 4.0), np.full(4, 4.0))
+        z = martingale_representation(tree, np.full(8, 4.0))
         np.testing.assert_array_equal(z, np.zeros(4))
 
     def test_noise_path_has_unit_integrand_everywhere(self):
         tree = small_tree(5)
         levels = tree.brownian()
         for i in range(1, 6):
-            z = martingale_representation(tree, levels[i], levels[i - 1])
+            z = martingale_representation(tree, levels[i])
             np.testing.assert_allclose(z, np.ones(tree.n_nodes(i - 1)), atol=1e-13)
 
     def test_reconstructs_children_exactly(self, rng):
         tree = small_tree(4)
         children = rng.standard_normal(16)
         parent = conditional_expectation(tree, children)
-        z = martingale_representation(tree, children, parent)
+        z = martingale_representation(tree, children)
         up = parent + z * tree.sqrt_dt
         down = parent - z * tree.sqrt_dt
         np.testing.assert_allclose(up, children[1::2], atol=1e-14)
         np.testing.assert_allclose(down, children[0::2], atol=1e-14)
-
-    def test_rejects_non_martingale_parent(self):
-        tree = small_tree(1)
-        with pytest.raises(ValueError, match="not a martingale increment"):
-            martingale_representation(tree, np.array([2.0, 0.0]), np.array([0.0]))
 
     def test_rejects_a_child_level_of_the_wrong_size(self):
         tree = small_tree(2)
         for size in (1, 3, 8):
             with pytest.raises(ValueError, match="child level"):
                 martingale_representation(tree, np.zeros(size))
-
-    def test_rejects_a_parent_of_the_wrong_size(self):
-        tree = small_tree(2)
-        with pytest.raises(ValueError, match="parent level does not match"):
-            martingale_representation(tree, np.zeros(4), np.zeros(4))
 
     def test_parent_check_optional(self):
         tree = small_tree(1)
