@@ -16,6 +16,7 @@ import functools
 import math
 import os
 import sys
+import tempfile
 from collections import deque
 from collections.abc import Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
@@ -35,7 +36,7 @@ from .rbsde import (
     stopping_representation_check,
     verify_solution,
 )
-from .penalization import STUDY_COLUMNS, ConvergenceStudy, convergence_study
+from .penalization import STUDY_COLUMNS, ConvergenceStudy, check_study, convergence_study
 from .ito_regulated import (
     cor4_inequality_check,
     ito_residual,
@@ -96,7 +97,7 @@ def _scenario_rng(seed: int, index: int) -> np.random.Generator:
 
 
 def _count(exp, key: str, default: int) -> int:
-    """``experiment.key`` as a number of items, ``default`` when unset; below 1 raises."""
+    """``experiment.key`` as a positive integer, ``default`` when unset; below 1 raises."""
     count = exp.getint(key, default)
     if count < 1:
         raise ValueError(f"{key} must be at least 1, got {count}")
@@ -158,16 +159,11 @@ def fit_rate(levels, gaps) -> float | None:
 
     Returns None when fewer than two positive gaps are available.
     """
-    xs = []
-    ys = []
-    for level, gap in zip(levels, gaps):
-        if gap > 0.0:
-            xs.append(float(level))
-            ys.append(float(gap))
-    if len(xs) < 2:
+    levels, gaps = np.asarray(levels, float), np.asarray(gaps, float)
+    positive = gaps > 0.0
+    if np.count_nonzero(positive) < 2:
         return None
-    slope = np.polyfit(np.log(xs), np.log(ys), 1)[0]
-    return float(-slope)
+    return float(-np.polyfit(np.log(levels[positive]), np.log(gaps[positive]), 1)[0])
 
 
 def emit_convergence_table(study: ConvergenceStudy) -> str:
@@ -235,28 +231,43 @@ def _product(m, j):
     f_high, f_low, _, _ = _five_powers()
     f1, f0 = f_high[j], f_low[j]
     m1, m0 = m >> _U64(32), m & _LOW32
+    # every product and sum is written into an array it no longer needs
     low = m0 * f0
-    cross = m0 * f1
-    mid = (low >> _U64(32)) + (cross & _LOW32) + m1 * f0
-    return m1 * f1 + (cross >> _U64(32)) + (mid >> _U64(32)), (low & _LOW32) | (mid << _U64(32))
+    cross = np.multiply(m0, f1, out=m0)
+    high = np.multiply(m1, f1, out=f1)
+    mid = np.multiply(m1, f0, out=m1)
+    mid += np.right_shift(low, _U64(32), out=f0)
+    mid += np.bitwise_and(cross, _LOW32, out=f0)
+    high += np.right_shift(cross, _U64(32), out=cross)
+    high += np.right_shift(mid, _U64(32), out=f0)
+    low &= _LOW32
+    low |= np.left_shift(mid, _U64(32), out=mid)
+    return high, low
 
 
 def _scaled(m, b, t):
     """floor(m * 2**(b - 1075) * 10**t), its rounding, and whether that rounding is exact."""
     j = t - _T_MIN
-    high, low = _product(m, j)
+    floor, rest = _product(m, j)
     _, _, shift, rounded = _five_powers()
-    s = 1075 - b - shift[j]
+    s = shift[j]
+    np.subtract(1075, s, out=s)
+    s -= b
     exact = s <= 63
-    s = np.minimum(s, 63).astype(_U64)
-    floor = (high << (_U64(64) - s)) | (low >> s)
-    below = (_U64(1) << s) - _U64(1)
-    half = _U64(1) << (s - _U64(1))
-    rest = low & below
+    s = np.minimum(s, 63, out=s).view(_U64)
+    below = np.subtract(_U64(64), s)
+    floor <<= below
+    floor |= np.right_shift(rest, s, out=below)
+    below = np.left_shift(_U64(1), s, out=below)
+    below -= _U64(1)
+    half = s - _U64(1)
+    np.left_shift(_U64(1), half, out=half)
+    rest &= below
     n = floor + ((rest > half) | ((rest == half) & (floor & _U64(1)).astype(bool)))
     # the bound from f + 1, where f is rounded
-    rest += np.where(rounded[j], m, _U64(0))
-    up = floor + (rest >> s)
+    np.add(rest, m, out=rest, where=rounded[j])
+    up = np.right_shift(rest, s)
+    up += floor
     rest &= below
     up += (rest > half) | ((rest == half) & (up & _U64(1)).astype(bool))
     return floor, n, exact & (n == up)
@@ -329,26 +340,22 @@ def _digit_tables():
 
 # node >= _NODE_DIGIT[p] prints digit p of its eight
 _NODE_DIGIT = np.array([10**p for p in range(7, 0, -1)] + [0])
-_BLOCK_ROWS = 1024
+_BLOCK_ROWS = 4096
 
 
 def _write_digits(n, slots):
     """Write the 17 digits of each N into both digit runs; return its significant digits."""
-    lead = n // _U64(10**16)
-    rest = n - lead * _U64(10**16)
-    high = rest // _U64(10**8)
+    lead, rest = np.divmod(n, _U64(10**16))
     groups = np.empty((n.size, 4), np.intp)  # the 16 digits after the first, in fours
-    for j, part in enumerate((high, rest - high * _U64(10**8))):
-        groups[:, 2 * j] = quotient = part // _U64(10**4)
-        groups[:, 2 * j + 1] = part - quotient * _U64(10**4)
+    for j, part in enumerate(np.divmod(rest, _U64(10**8), out=(rest, np.empty_like(rest)))):
+        np.divmod(part, _U64(10**4), out=(groups[:, 2 * j], groups[:, 2 * j + 1]))
     digits4, significant, _ = _digit_tables()
     chars = digits4[groups].view(np.uint8).reshape(slots.shape[:-1] + (16,))
-    lead = (lead + _U64(ord("0"))).reshape(slots.shape[:-1])
+    lead = np.add(lead, _U64(ord("0")), out=lead).reshape(slots.shape[:-1])
     slots[..., _INT], slots[..., _INT + 1 : _INT + 17] = lead, chars
     slots[..., _FRAC], slots[..., _FRAC + 1 : _FRAC + 17] = lead, chars
-    significant = significant[groups + np.arange(0, 40000, 10000)]
-    digits = np.maximum(np.maximum(significant[:, 0], significant[:, 1]), 1)
-    return np.maximum(np.maximum(significant[:, 2], significant[:, 3]), digits)
+    groups += np.arange(0, 40000, 10000)
+    return np.maximum(significant[groups].max(axis=1), 1)
 
 
 def _encode(x, slots, keep):
@@ -456,9 +463,9 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
     method = exp.get("method", "both")
     if method not in ("direct", "reduction", "both"):
         raise ValueError(f"unknown method {method!r}")
-    count, build = _scenario_source(cfg, seed, exp.getint("depth", 3), 12, "random", cadlag=False)
+    count, build = _scenario_source(cfg, seed, _count(exp, "depth", 3), 12, "random", cadlag=False)
 
-    def work(index: int):
+    def solve(index: int):
         # Each worker builds the scenario it solves, so a batch never holds
         # more instances than there are workers.
         scenario = build(index)
@@ -482,46 +489,45 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
             and report.negative_charge >= -CHARGE_TOL * scale
             and (gap is None or gap <= ROUTE_TOL * scale)
         )
-        summary = ",".join(
-            [
-                scenario.name,
-                _fmt(scale),
-                _fmt(report.dynamics_residual),
-                _fmt(report.domination_margin),
-                _fmt(report.minimality_continuous),
-                _fmt(report.minimality_right_jump),
-                _fmt(report.negative_charge),
-                "" if gap is None else _fmt(gap),
-                _status(ok),
-            ]
-        )
-        return scenario.name, ok, sol, summary
+        summary = [scenario.name, _fmt(scale), *map(_fmt, dataclasses.astuple(report))]
+        summary += ["" if gap is None else _fmt(gap), _status(ok)]
+        return scenario.name, ok, sol, ",".join(summary)
+
+    def work(index: int):
+        # Only the solution outlives solve(): the scenario, the other route's
+        # solution and the report are freed before its rows are formatted.
+        name, ok, sol, summary = solve(index)
+        part = os.path.join(parts_dir, f"{index}.csv")
+        with open(part, "w", encoding="utf-8", newline="\n") as handle:
+            handle.writelines(_solution_rows(name, sol))
+        return ok, part, summary
 
     outcomes = []
 
     def parts():
-        # Rows are formatted here, by the writer, one block at a time, so the
-        # text held at once does not depend on the workers' timing.
+        # The writer only copies: part files in scenario order, 1 MB at a time,
+        # each deleted once copied, so at most jobs + 1 of them exist at once.
         yield "scenario,level,node,time,y_point,y_right,z,k_interval,k_left,k_right\n"
-        for name, ok, sol, summary in _map_ordered(work, range(count), jobs):
+        for ok, part, summary in _map_ordered(work, range(count), jobs):
             outcomes.append((ok, summary))
-            yield from _solution_rows(name, sol)
-            # a written solution is not held while the next one is awaited
-            del sol
+            with open(part, encoding="utf-8", newline="") as handle:
+                yield from iter(functools.partial(handle.read, 1 << 20), "")
+            os.remove(part)
 
-    _write_atomic(os.path.join(out_dir, "results.csv"), parts())
-    summary_header = (
-        "scenario,scale,dynamics_residual,domination_margin,minimality_continuous,"
-        "minimality_right_jump,negative_charge,route_gap,status"
-    )
-    summary = [summary_header] + [entry for _, entry in outcomes]
+    # closing() stops the workers before their directory is removed
+    with tempfile.TemporaryDirectory(prefix="results.csv.parts-", dir=out_dir) as parts_dir:
+        with contextlib.closing(parts()) as text:
+            _write_atomic(os.path.join(out_dir, "results.csv"), text)
+    header = "scenario,scale,dynamics_residual,domination_margin,minimality_continuous,"
+    header += "minimality_right_jump,negative_charge,route_gap,status"
+    summary = [header] + [entry for _, entry in outcomes]
     _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(summary) + "\n"])
     return all(ok for ok, _ in outcomes)
 
 
 def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
     exp = cfg["experiment"]
-    depth = exp.getint("depth", 3)
+    depth = _count(exp, "depth", 3)
     if depth > ORACLE_DEPTH_CAP:
         raise ValueError(f"oracle checks are capped at depth {ORACLE_DEPTH_CAP}")
     count = _count(exp, "count", 20)
@@ -561,8 +567,9 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
     exp = cfg["experiment"]
     mode = exp.get("mode", "modified")
     levels = [int(tok) for tok in exp.get("levels", "1,2,4,8,16,32,64").split(",")]
+    check_study(levels, mode)
     count, build = _scenario_source(
-        cfg, seed, exp.getint("depth", 4), 1, "study", cadlag=exp.getboolean("cadlag", False)
+        cfg, seed, _count(exp, "depth", 4), 1, "study", cadlag=exp.getboolean("cadlag", False)
     )
 
     def work(index: int):
@@ -582,16 +589,8 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
         gaps = [row.sup_gap_y for row in study.rows]
         rate = fit_rate(levels, gaps)
         ok = worst_mono <= RESIDUAL_TOL * scenario.scale() * tol_scale
-        summary = ",".join(
-            [
-                scenario.name,
-                str(int(levels[-1])),
-                _fmt(gaps[-1]),
-                _fmt(worst_mono),
-                "" if rate is None else _fmt(rate),
-                _status(ok),
-            ]
-        )
+        cells = [scenario.name, str(int(levels[-1])), _fmt(gaps[-1]), _fmt(worst_mono)]
+        summary = ",".join(cells + ["" if rate is None else _fmt(rate), _status(ok)])
         return ok, table, summary
 
     results = list(_map_ordered(work, range(count), jobs))
@@ -650,7 +649,7 @@ def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
 
 def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
     exp = cfg["experiment"]
-    depth = exp.getint("depth", 4)
+    depth = _count(exp, "depth", 4)
     count = _count(exp, "count", 25)
 
     def work(index: int):
@@ -663,9 +662,7 @@ def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> b
             report = compare_solutions(first, second)
         scale = max(first.scale(), second.scale()) * tol_scale
         if not report.valid:
-            row = ",".join(
-                [f"pair-{index:03d}", "invalid", report.reason or "", "", "", "", "", _status(False)]
-            )
+            row = f"pair-{index:03d},invalid,{report.reason or ''},,,,,{_status(False)}"
             return False, row
         ok = report.y_violation <= RESIDUAL_TOL * scale
         dk = report.dk_violation or {}

@@ -24,6 +24,7 @@ __all__ = [
     "step_one_barrier",
     "ConvergenceRow",
     "ConvergenceStudy",
+    "check_study",
     "convergence_study",
 ]
 
@@ -183,6 +184,19 @@ def _z_gaps(sol: SolutionTriple, reference: SolutionTriple) -> tuple[float, floa
     return l1, l2
 
 
+def check_study(levels: list[int], mode: str) -> None:
+    """Raise ValueError unless ``mode`` names a study and ``levels`` are
+    strictly increasing integers of at least 1."""
+    if mode not in ("modified", "classic_vs_transformed"):
+        raise ValueError(f"unknown study mode {mode!r}")
+    if not levels:
+        raise ValueError("empty study")
+    if any(later <= earlier for earlier, later in zip(levels, levels[1:])):
+        raise ValueError(f"penalty levels must be strictly increasing, got {list(levels)}")
+    for n in levels:
+        _check_level(n, "penalty level")
+
+
 def convergence_study(
     terminal: np.ndarray,
     gen: GeneratorSpec,
@@ -211,12 +225,7 @@ def convergence_study(
         at least 1, a supplied ``bound`` is not finite, or the generator
         falls below it on the sampled box or along the reference solution.
     """
-    if mode not in ("modified", "classic_vs_transformed"):
-        raise ValueError(f"unknown study mode {mode!r}")
-    if not levels:
-        raise ValueError("empty study")
-    if any(later <= earlier for earlier, later in zip(levels, levels[1:])):
-        raise ValueError(f"penalty levels must be strictly increasing, got {list(levels)}")
+    check_study(levels, mode)
     reference = solve_reflected_direct(terminal, gen, driver, barrier)
 
     if mode == "modified":

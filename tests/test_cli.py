@@ -1,5 +1,8 @@
 import dataclasses
+import itertools
 import re
+import shutil
+import sys
 import textwrap
 import time
 import tracemalloc
@@ -179,7 +182,7 @@ class TestSolveVerb:
         assert run_experiment(config, str(out), jobs=2) == 0
         assert (out / "results.csv").read_bytes() == reference_results(config)
 
-    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("jobs", [1, 2, 3])
     @pytest.mark.parametrize(
         "text", [RANDOM_BATCH, CONFIGURED_SINGLE_STEP], ids=["random-batch", "configured-depth-1"]
     )
@@ -190,6 +193,21 @@ class TestSolveVerb:
         config = write_config(tmp_path, text)
         out = tmp_path / "out"
         assert run_experiment(config, str(out), jobs=jobs) == 0
+        assert (out / "results.csv").read_bytes() == reference_results(config)
+
+    def test_workers_formatting_at_once_write_the_reference_bytes(self, tmp_path, monkeypatch):
+        # More workers than cores, switching threads as often as the interpreter
+        # allows, so that formatting that shared any scratch state would garble rows.
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 3)
+        text = RANDOM_BATCH.replace("depth = 3", "depth = 6").replace("count = 4", "count = 8")
+        config = write_config(tmp_path, text)
+        out = tmp_path / "out"
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert run_experiment(config, str(out), jobs=4) == 0
+        finally:
+            sys.setswitchinterval(interval)
         assert (out / "results.csv").read_bytes() == reference_results(config)
 
     def test_failing_scenario_leaves_no_results_file(self, tmp_path, monkeypatch):
@@ -211,6 +229,8 @@ class TestSolveVerb:
         assert writing == [True]
         assert not (out / "results.csv").exists()
         assert not (out / "results.csv.tmp").exists()
+        # no part file or temporary directory is left behind either
+        assert list(out.iterdir()) == []
 
     def test_solver_error_names_its_scenario(self, tmp_path, monkeypatch, capsys):
         config = write_config(tmp_path, RANDOM_BATCH)
@@ -227,6 +247,72 @@ class TestSolveVerb:
         assert main(["solve", "--config", config, "--out-dir", str(out)]) == 2
         assert "scenario random-002: planted failure" in capsys.readouterr().err
         assert not (out / "results.csv").exists()
+
+    def test_solver_error_under_two_jobs_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, RANDOM_BATCH.replace("count = 4", "count = 6"))
+        out = tmp_path / "out"
+        calls = itertools.count()
+
+        def failing_direct(*data):
+            if next(calls) == 2:
+                raise SolverError("planted failure")
+            return solve_reflected_direct(*data)
+
+        monkeypatch.setattr(cli, "solve_reflected_direct", failing_direct)
+        assert main(["solve", "--config", config, "--out-dir", str(out), "--jobs", "2"]) == 2
+        assert list(out.iterdir()) == []
+
+    def test_a_failing_write_stops_the_workers_before_cleanup(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, RANDOM_BATCH)
+        out = tmp_path / "out"
+        started, finished, running_at_cleanup = [], [], []
+        solution_rows = cli._solution_rows
+
+        def slow_rows(name, sol):
+            started.append(name)
+            try:
+                for part in solution_rows(name, sol):
+                    time.sleep(0.01)
+                    yield part
+            finally:
+                finished.append(name)
+
+        def failing_write(path, parts):
+            next(parts), next(parts)  # the header, then the first scenario's rows
+            raise OSError("planted write failure")
+
+        rmtree = shutil.rmtree
+
+        def recorded_rmtree(path, *args, **kwargs):
+            running_at_cleanup.append(len(started) - len(finished))
+            return rmtree(path, *args, **kwargs)
+
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(cli, "_solution_rows", slow_rows)
+        monkeypatch.setattr(cli, "_write_atomic", failing_write)
+        monkeypatch.setattr(shutil, "rmtree", recorded_rmtree)
+        assert main(["solve", "--config", config, "--out-dir", str(out), "--jobs", "2"]) == 2
+        assert running_at_cleanup == [0]
+        assert list(out.iterdir()) == []
+
+    def test_at_most_jobs_plus_one_part_files_exist(self, tmp_path, monkeypatch):
+        config = write_config(tmp_path, RANDOM_BATCH.replace("count = 4", "count = 8"))
+        out = tmp_path / "out"
+        counts = []
+        solution_rows = cli._solution_rows
+
+        def counted_rows(name, sol):
+            for part in solution_rows(name, sol):
+                # part files live in a temporary directory inside --out-dir
+                counts.append(sum(1 for _ in out.glob("*/*")))
+                yield part
+
+        monkeypatch.setattr(cli, "_BLOCK_ROWS", 2)
+        monkeypatch.setattr(cli, "_solution_rows", counted_rows)
+        assert main(["solve", "--config", config, "--out-dir", str(out), "--jobs", "2"]) == 0
+        assert 1 <= max(counts) <= 2 + 1, counts
+        assert sorted(p.name for p in out.iterdir()) == ["results.csv", "summary.csv"]
+        assert (out / "results.csv").read_bytes() == reference_results(config)
 
     @pytest.mark.parametrize("jobs", [2, 3])
     def test_ordered_map_starts_at_most_jobs_items_ahead(self, jobs):
@@ -389,6 +475,28 @@ class TestPenalizeVerb:
         sc = random_scenario(cli._scenario_rng(3, 0), 3, 2.0, name="study-000")
         study = convergence_study(sc.terminal, sc.gen, sc.driver, sc.barrier, [1, 8, 64])
         assert tables[1] == emit_convergence_table(study)
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ("mode = bogus", "unknown study mode 'bogus'"),
+            ("levels = 0", "penalty level must be a positive integer, got 0"),
+        ],
+    )
+    def test_study_settings_are_checked_before_any_scenario(
+        self, tmp_path, capsys, monkeypatch, setting, message
+    ):
+        def no_scenario(*args, **kwargs):
+            raise AssertionError("a scenario was built")
+
+        monkeypatch.setattr(cli, "random_scenario", no_scenario)
+        config = write_config(
+            tmp_path, f"[experiment]\nkind = penalize\ndepth = 3\ncount = 2\n{setting}\n"
+        )
+        out = tmp_path / "o"
+        assert main(["penalize", "--config", config, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert list(out.iterdir()) == []
 
     def test_levels_below_one_are_a_usage_error(self, tmp_path, capfd):
         config = write_config(
@@ -906,6 +1014,15 @@ class TestErrorHandling:
         assert main([kind, "--config", config, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {key} must be at least 1, got {value}\n"
         assert sorted(out.iterdir()) == []
+
+    @pytest.mark.parametrize("value", [0, -1])
+    @pytest.mark.parametrize("kind", ["solve", "penalize", "oracle-check", "compare"])
+    def test_a_depth_below_one_is_reported_under_its_key(self, tmp_path, capsys, kind, value):
+        config = write_config(tmp_path, f"[experiment]\nkind = {kind}\ndepth = {value}\n")
+        out = tmp_path / "out"
+        assert main([kind, "--config", config, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: depth must be at least 1, got {value}\n"
+        assert list(out.iterdir()) == []
 
     def test_verb_is_required(self):
         with pytest.raises(SystemExit):
