@@ -96,9 +96,31 @@ def _scenario_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
+def _setting(exp, key: str, parse, default: str):
+    """``experiment.key`` (``default`` when unset) read by ``parse``; a value that does
+    not parse raises a ValueError that names the key."""
+    text = exp.get(key, default)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ValueError(f"[experiment] {key} = {text!r} does not parse: {exc}") from None
+
+
+def _numbers(kind):
+    """Parser of a comma-separated list of ``kind``."""
+    return lambda text: [kind(tok) for tok in text.split(",")]
+
+
+def _boolean(text: str) -> bool:
+    states = configparser.ConfigParser.BOOLEAN_STATES
+    if text.lower() not in states:
+        raise ValueError(f"not a boolean, expected one of {sorted(states)}")
+    return states[text.lower()]
+
+
 def _count(exp, key: str, default: int) -> int:
     """``experiment.key`` as a positive integer, ``default`` when unset; below 1 raises."""
-    count = exp.getint(key, default)
+    count = _setting(exp, key, int, str(default))
     if count < 1:
         raise ValueError(f"{key} must be at least 1, got {count}")
     return count
@@ -121,7 +143,7 @@ def _scenario_source(cfg, seed: int, depth: int, count: int, prefix: str, cadlag
     from its own seeded stream and named ``prefix-iii``.
     """
     exp = cfg["experiment"]
-    horizon = exp.getfloat("horizon", 1.0)
+    horizon = _setting(exp, "horizon", float, "1.0")
 
     def build(index: int):
         if "scenario" in cfg:
@@ -141,6 +163,8 @@ def _map_ordered(fn, items, jobs: int) -> Iterator:
     does not depend on how the workers happen to be scheduled.
     """
     if jobs <= 1:
+        # not a one-thread pool: its thread and futures cost about a megabyte
+        # of peak memory on runs of small scenarios, for the same bytes
         yield from map(fn, items)
         return
     items = iter(items)
@@ -458,6 +482,13 @@ def _status(ok: bool) -> str:
     return "pass" if ok else "fail"
 
 
+def _summary(out_dir: str, header: str, outcomes: list[tuple[bool, str]]) -> bool:
+    """Write ``summary.csv``: ``header``, then each outcome's rows; True when every outcome passed."""
+    lines = [header] + [rows for _, rows in outcomes]
+    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
+    return all(ok for ok, _ in outcomes)
+
+
 def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
     exp = cfg["experiment"]
     method = exp.get("method", "both")
@@ -520,9 +551,7 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
             _write_atomic(os.path.join(out_dir, "results.csv"), text)
     header = "scenario,scale,dynamics_residual,domination_margin,minimality_continuous,"
     header += "minimality_right_jump,negative_charge,route_gap,status"
-    summary = [header] + [entry for _, entry in outcomes]
-    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(summary) + "\n"])
-    return all(ok for ok, _ in outcomes)
+    return _summary(out_dir, header, outcomes)
 
 
 def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
@@ -558,19 +587,16 @@ def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bo
         return ok, row
 
     results = list(_map_ordered(work, range(count), jobs))
-    lines = ["scenario,check,deviation,threshold,status"] + [row for _, row in results]
-    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
-    return all(ok for ok, _ in results)
+    return _summary(out_dir, "scenario,check,deviation,threshold,status", results)
 
 
 def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
     exp = cfg["experiment"]
     mode = exp.get("mode", "modified")
-    levels = [int(tok) for tok in exp.get("levels", "1,2,4,8,16,32,64").split(",")]
+    levels = _setting(exp, "levels", _numbers(int), "1,2,4,8,16,32,64")
     check_study(levels, mode)
-    count, build = _scenario_source(
-        cfg, seed, _count(exp, "depth", 4), 1, "study", cadlag=exp.getboolean("cadlag", False)
-    )
+    cadlag = _setting(exp, "cadlag", _boolean, "false")
+    count, build = _scenario_source(cfg, seed, _count(exp, "depth", 4), 1, "study", cadlag)
 
     def work(index: int):
         scenario = build(index)
@@ -596,19 +622,19 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
     results = list(_map_ordered(work, range(count), jobs))
     for index, (_, table, _) in enumerate(results):
         _write_atomic(os.path.join(out_dir, f"study_{index:03d}.csv"), [table])
-    lines = ["scenario,final_n,final_sup_gap_Y,monotonicity_violation,rate,status"]
-    lines += [summary for _, _, summary in results]
-    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
-    return all(ok for ok, _, _ in results)
+    header = "scenario,final_n,final_sup_gap_Y,monotonicity_violation,rate,status"
+    return _summary(out_dir, header, [(ok, summary) for ok, _, summary in results])
 
 
 def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
     exp = cfg["experiment"]
-    steps = exp.getint("steps", 16)
+    steps = _setting(exp, "steps", int, "16")
     count = _count(exp, "paths", 20)
-    dimension = exp.getint("dimension", 1)
-    powers = [float(tok) for tok in exp.get("powers", "1,1.5,2").split(",")]
-    grid = TimeGrid(horizon=exp.getfloat("horizon", 1.0), steps=steps)
+    dimension = _setting(exp, "dimension", int, "1")
+    powers = _setting(exp, "powers", _numbers(float), "1,1.5,2")
+    if not all(1.0 <= p <= 2.0 for p in powers):
+        raise ValueError(f"powers must lie in [1, 2], got {powers}")
+    grid = TimeGrid(horizon=_setting(exp, "horizon", float, "1.0"), steps=steps)
     quad = make_function("quadratic", dimension)
 
     def work(index: int):
@@ -635,16 +661,12 @@ def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
             jminus, jplus = power_jump_terms(path, p)
             worst = float(min(np.min(jminus), np.min(jplus)))
             add(f"jump_terms_p{p:g}", worst, worst >= -EXACTNESS_TOL * tol_scale)
-        return ok, serialize_path_csv(path), rows
+        return ok, serialize_path_csv(path), "\n".join(rows)
 
     results = list(_map_ordered(work, range(count), jobs))
     for index, (_, path_csv, _) in enumerate(results):
         _write_atomic(os.path.join(out_dir, f"path_{index:03d}.csv"), [path_csv])
-    lines = ["path,check,value,status"]
-    for _, _, rows in results:
-        lines.extend(rows)
-    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
-    return all(ok for ok, _, _ in results)
+    return _summary(out_dir, "path,check,value,status", [(ok, rows) for ok, _, rows in results])
 
 
 def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
@@ -683,10 +705,8 @@ def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> b
         return ok, row
 
     results = list(_map_ordered(work, range(count), jobs))
-    lines = ["pair,kind,reason,y_violation,dk_interval,dk_left,dk_right,status"]
-    lines += [row for _, row in results]
-    _write_atomic(os.path.join(out_dir, "summary.csv"), ["\n".join(lines) + "\n"])
-    return all(ok for ok, _ in results)
+    header = "pair,kind,reason,y_violation,dk_interval,dk_left,dk_right,status"
+    return _summary(out_dir, header, results)
 
 
 _RUNNERS = {
@@ -722,7 +742,9 @@ def run_experiment(
     if verb is not None and verb != kind:
         raise ValueError(f"config kind {kind!r} does not match the verb {verb!r}")
     if seed is None:
-        seed = cfg["experiment"].getint("seed", 0)
+        seed = _setting(cfg["experiment"], "seed", int, "0")
+    if seed < 0:
+        raise ValueError(f"seed must be at least 0, got {seed}")
     os.makedirs(out_dir, exist_ok=True)
     ok = _RUNNERS[kind](cfg, out_dir, int(seed), int(jobs), float(tolerance_scale))
     return EXIT_OK if ok else EXIT_FAIL

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bsde import GeneratorSpec, SolutionTriple, backward_sweep
-from .rbsde import barrier_transform, lower_bound_along, solve_reflected_direct
+from .rbsde import _reduce, solve_reflected_direct
 from .tree_space import AdaptedRegulatedProcess
 
 __all__ = [
@@ -212,11 +212,11 @@ def convergence_study(
     ----------
     levels : strictly increasing penalty strengths, integers of at least 1
     mode : {"modified", "classic_vs_transformed"}
-        The modified scheme is compared to the full solution at points and
-        right limits.  The classic scheme is run against the regularized
-        barrier, built on the floor ``lower_bound_along`` gives along the
-        reference, and compared to the right-limit field only, which is its
-        limit.
+        The modified scheme is compared to the direct solution at points
+        and right limits.  The classic scheme is run against the reduction
+        route's regularized barrier and compared, at right limits only, to
+        the reduction's solution, which is its limit where that solution's
+        point floor never binds.
 
     Raises
     ------
@@ -226,17 +226,13 @@ def convergence_study(
         falls below it on the sampled box or along the reference solution.
     """
     check_study(levels, mode)
-    reference = solve_reflected_direct(terminal, gen, driver, barrier)
-
-    if mode == "modified":
-        target_barrier = barrier
-        scheme = "modified"
-        right_only = False
+    right_only = mode == "classic_vs_transformed"
+    scheme = "classic" if right_only else "modified"
+    if right_only:
+        target_barrier, reference = _reduce(terminal, gen, driver, barrier, bound)
     else:
-        rows = lower_bound_along(reference, terminal, gen, driver, barrier, bound)
-        target_barrier = barrier_transform(barrier, terminal, rows, driver)
-        scheme = "classic"
-        right_only = True
+        target_barrier = barrier
+        reference = solve_reflected_direct(terminal, gen, driver, barrier)
 
     out = ConvergenceStudy(rows=[], reference=reference)
     previous: AdaptedRegulatedProcess | None = None

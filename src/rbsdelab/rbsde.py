@@ -41,7 +41,6 @@ __all__ = [
     "verify_solution",
     "stopping_representation_check",
     "default_lower_bound",
-    "lower_bound_along",
     "barrier_transform",
     "solve_via_reduction",
     "compare_solutions",
@@ -244,53 +243,6 @@ def _floor_shortfall(gen: GeneratorSpec, rows: np.ndarray, trip: SolutionTriple)
     return worst
 
 
-def _first_floor(
-    terminal: np.ndarray,
-    gen: GeneratorSpec,
-    driver: AdaptedRegulatedProcess,
-    barrier: AdaptedRegulatedProcess,
-    bound: np.ndarray | None,
-) -> np.ndarray:
-    """A supplied floor once it passes the sampled box, else the data-sized one."""
-    if bound is None:
-        return default_lower_bound(terminal, gen, driver, barrier)
-    rows = _bound_values(bound, driver.tree.depth)
-    _check_bound_on_samples(gen, rows, driver.tree, barrier, terminal)
-    return rows
-
-
-def _widened_floor(rows: np.ndarray, worst: float, bound: np.ndarray | None) -> np.ndarray:
-    """The floor lowered by ``worst`` + 1 where f fell short of it; a supplied one is rejected."""
-    if bound is not None:
-        raise ValueError(f"lower-bound violation at the realized solution, by {worst:.3g}")
-    return rows - (worst + 1.0)
-
-
-def lower_bound_along(
-    trip: SolutionTriple,
-    terminal: np.ndarray,
-    gen: GeneratorSpec,
-    driver: AdaptedRegulatedProcess,
-    barrier: AdaptedRegulatedProcess,
-    bound: np.ndarray | None,
-) -> np.ndarray:
-    """Generator floor that holds along ``trip``, by the reduction's rules.
-
-    A supplied ``bound`` is checked on the sampled box and then along
-    ``trip``; the data-sized default is widened once by its shortfall along
-    ``trip`` plus one.
-
-    Raises
-    ------
-    ValueError
-        If a supplied floor is not finite or f falls below it on the sampled
-        box or along ``trip``.
-    """
-    rows = _first_floor(terminal, gen, driver, barrier, bound)
-    worst = _floor_shortfall(gen, rows, trip)
-    return _widened_floor(rows, worst, bound) if worst else rows
-
-
 def barrier_transform(
     barrier: AdaptedRegulatedProcess,
     terminal: np.ndarray,
@@ -323,6 +275,37 @@ def barrier_transform(
     return snell_envelope(barrier + aux, xi + aux.point[n]).value - aux
 
 
+def _reduce(
+    terminal: np.ndarray,
+    gen: GeneratorSpec,
+    driver: AdaptedRegulatedProcess,
+    barrier: AdaptedRegulatedProcess,
+    bound: np.ndarray | None,
+) -> tuple[AdaptedRegulatedProcess, SolutionTriple]:
+    """``solve_via_reduction``'s floor loop, returning the regularized barrier
+    with the solution; the classic penalization study runs on both."""
+    tree = driver.tree
+    if barrier.tree is not tree:
+        raise ValueError("driver and barrier live on different trees")
+    if bound is None:
+        rows = default_lower_bound(terminal, gen, driver, barrier)
+    else:
+        rows = _bound_values(bound, tree.depth)
+        _check_bound_on_samples(gen, rows, tree, barrier, terminal)
+    for _ in range(3):
+        # lhat's right-limit field is a right-continuous barrier, so it is
+        # both the interval and the left-limit floor
+        lhat = barrier_transform(barrier, terminal, rows, driver)
+        trip = backward_sweep(tree, terminal, gen, driver, floor=lhat.rights, point_floor=lhat.points)
+        worst = _floor_shortfall(gen, rows, trip)
+        if not worst:
+            return lhat, trip
+        if bound is not None:
+            raise ValueError(f"lower-bound violation at the realized solution, by {worst:.3g}")
+        rows = rows - (worst + 1.0)
+    raise ValueError(f"lower-bound violation after widening the floor, by {worst:.3g}")
+
+
 def solve_via_reduction(
     terminal: np.ndarray,
     gen: GeneratorSpec,
@@ -346,21 +329,7 @@ def solve_via_reduction(
         If a supplied floor is not finite, fails on the sampled box or at
         the realized arguments, or no valid floor could be established.
     """
-    tree = driver.tree
-    if barrier.tree is not tree:
-        raise ValueError("driver and barrier live on different trees")
-
-    rows = _first_floor(terminal, gen, driver, barrier, bound)
-    for _ in range(3):
-        # lhat's right-limit field is a right-continuous barrier, so it is
-        # both the interval and the left-limit floor
-        lhat = barrier_transform(barrier, terminal, rows, driver)
-        trip = backward_sweep(tree, terminal, gen, driver, floor=lhat.rights, point_floor=lhat.points)
-        worst = _floor_shortfall(gen, rows, trip)
-        if not worst:
-            return trip
-        rows = _widened_floor(rows, worst, bound)
-    raise ValueError(f"lower-bound violation after widening the floor, by {worst:.3g}")
+    return _reduce(terminal, gen, driver, barrier, bound)[1]
 
 
 # ----------------------------------------------------------------------

@@ -1024,6 +1024,35 @@ class TestErrorHandling:
         assert capsys.readouterr().err == f"error: depth must be at least 1, got {value}\n"
         assert list(out.iterdir()) == []
 
+    @pytest.mark.parametrize(
+        "kind, setting, key, flags",
+        [
+            ("penalize", "levels = 1,x", "levels", []),
+            ("ito-check", "powers = 1,abc", "powers", []),
+            ("ito-check", "powers = 2.5", "powers", []),
+            ("ito-check", "horizon = abc", "horizon", []),
+            ("penalize", "horizon = abc", "horizon", []),
+            ("solve", "depth = two", "depth", []),
+            ("penalize", "cadlag = maybe", "cadlag", []),
+            ("solve", "seed = -3", "seed", []),
+            ("compare", "seed = 1", "seed", ["--seed", "-3"]),
+        ],
+    )
+    def test_a_bad_experiment_value_names_its_key_before_any_work(
+        self, tmp_path, capsys, monkeypatch, kind, setting, key, flags
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("random_scenario", "random_path", "ordered_pair", "equal_barrier_pair"):
+            monkeypatch.setattr(cli, name, no_work)
+        config = write_config(tmp_path, f"[experiment]\nkind = {kind}\n{setting}\n")
+        out = tmp_path / "out"
+        assert main([kind, "--config", config, "--out-dir", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and key in err
+        assert list(out.glob("*")) == []
+
     def test_verb_is_required(self):
         with pytest.raises(SystemExit):
             main([])

@@ -4,8 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rbsdelab import penalization
-from rbsdelab.bsde import make_generator, solve_bsde
+from rbsdelab import penalization, rbsde
+from rbsdelab.bsde import backward_sweep, make_generator, solve_bsde
 from rbsdelab.cli import emit_convergence_table
 from rbsdelab.grid_path import TimeGrid
 from rbsdelab.penalization import (
@@ -17,11 +17,16 @@ from rbsdelab.penalization import (
     solve_penalized,
     step_one_barrier,
 )
-from rbsdelab.rbsde import default_lower_bound, solve_reflected_direct, verify_solution
+from rbsdelab.rbsde import (
+    default_lower_bound,
+    solve_reflected_direct,
+    solve_via_reduction,
+    verify_solution,
+)
 from rbsdelab.scenarios import random_scenario
 from rbsdelab.tree_space import AdaptedRegulatedProcess, build_tree
 
-from conftest import climbing_scenario, sup_gap
+from conftest import climbing_scenario, solution_bytes, sup_gap
 
 
 def small_tree(depth, horizon=1.0):
@@ -258,3 +263,38 @@ class TestConvergenceStudy:
 
         short, long = peak([1, 2]), peak([1, 2, 4, 8, 16, 32, 64, 128])
         assert long <= 1.2 * short
+
+
+class TestClassicStudyOnTheReduction:
+    """The classic study runs on the reduction route's barrier and triple."""
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_reference_is_the_reduction_triple(self, index):
+        sc = random_scenario(np.random.default_rng([25, index]), 2 + index % 4, name="classic")
+        data = (sc.terminal, sc.gen, sc.driver, sc.barrier)
+        study = convergence_study(*data, [1, 16], mode="classic_vs_transformed")
+        assert solution_bytes(study.reference) == solution_bytes(solve_via_reduction(*data))
+
+    def test_reference_is_the_reduction_triple_after_widening(self, monkeypatch):
+        data = climbing_scenario()
+        transform = rbsde.barrier_transform
+        rounds = []
+
+        def counted_transform(*args):
+            rounds.append(args[2])
+            return transform(*args)
+
+        monkeypatch.setattr(rbsde, "barrier_transform", counted_transform)
+        study = convergence_study(*data, [1, 16], mode="classic_vs_transformed")
+        # the data-sized floor failed along the first sweep and was lowered
+        assert len(rounds) == 2
+        assert np.all(rounds[1] < rounds[0])
+        assert solution_bytes(study.reference) == solution_bytes(solve_via_reduction(*data))
+
+    @pytest.mark.parametrize("depth", [4, 8, 12])
+    def test_classic_limit_is_the_sweep_without_a_point_floor(self, depth):
+        sc = random_scenario(np.random.default_rng([25, depth]), depth, name="limit")
+        lhat, _ = rbsde._reduce(sc.terminal, sc.gen, sc.driver, sc.barrier, None)
+        sol = solve_penalized(sc.terminal, sc.gen, sc.driver, lhat, 2**20, scheme="classic")
+        limit = backward_sweep(sc.tree, sc.terminal, sc.gen, sc.driver, floor=lhat.rights)
+        assert sup_gap(sol.value, limit.value) <= 1e-4 * sc.scale()
