@@ -13,6 +13,7 @@ import configparser
 import contextlib
 import dataclasses
 import functools
+import inspect
 import math
 import os
 import sys
@@ -47,6 +48,7 @@ from .ito_regulated import (
     serialize_path_csv,
 )
 from .scenarios import (
+    SCENARIO_KEYS,
     equal_barrier_pair,
     load_config,
     make_tree,
@@ -96,16 +98,6 @@ def _scenario_rng(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng([int(seed), int(index)])
 
 
-def _setting(exp, key: str, parse, default: str):
-    """``experiment.key`` (``default`` when unset) read by ``parse``; a value that does
-    not parse raises a ValueError that names the key."""
-    text = exp.get(key, default)
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ValueError(f"[experiment] {key} = {text!r} does not parse: {exc}") from None
-
-
 def _numbers(kind):
     """Parser of a comma-separated list of ``kind``."""
     return lambda text: [kind(tok) for tok in text.split(",")]
@@ -118,12 +110,28 @@ def _boolean(text: str) -> bool:
     return states[text.lower()]
 
 
-def _count(exp, key: str, default: int) -> int:
-    """``experiment.key`` as a positive integer, ``default`` when unset; below 1 raises."""
-    count = _setting(exp, key, int, str(default))
-    if count < 1:
-        raise ValueError(f"{key} must be at least 1, got {count}")
-    return count
+# Every [experiment] key but kind: its parser, the check of the parsed value
+# (None: any) and the message of a value that fails it.  The keyword
+# parameters of a verb's runner are the keys it reads, with their defaults.
+_KEYS = {
+    "seed": (int, lambda n: n >= 0, "{key} must be at least 0, got {value}"),
+    "depth": (int, lambda n: n >= 1, "{key} must be at least 1, got {value}"),
+    "count": (int, lambda n: n >= 1, "{key} must be at least 1, got {value}"),
+    "paths": (int, lambda n: n >= 1, "{key} must be at least 1, got {value}"),
+    "steps": (int, None, None),
+    "dimension": (int, None, None),
+    "horizon": (float, None, None),
+    "cadlag": (_boolean, None, None),
+    "method": (str, lambda name: name in ("direct", "reduction", "both"), "unknown method {value!r}"),
+    # checked together with levels by check_study
+    "mode": (str, None, None),
+    "levels": (_numbers(int), None, None),
+    "powers": (
+        _numbers(float),
+        lambda powers: all(1.0 <= p <= 2.0 for p in powers),
+        "{key} must lie in [1, 2], got {value}",
+    ),
+}
 
 
 @contextlib.contextmanager
@@ -135,24 +143,21 @@ def _named(label: str):
         raise RuntimeError(f"{label}: {exc}") from exc
 
 
-def _scenario_source(cfg, seed: int, depth: int, count: int, prefix: str, cadlag: bool):
+def _scenario_source(scenario, seed, depth, count, horizon, prefix, cadlag):
     """The number of a run's scenarios, and the function that builds each.
 
     A ``[scenario]`` section configures the run's one scenario.  Otherwise
-    ``experiment.count`` scenarios (``count`` by default) are drawn, index i
-    from its own seeded stream and named ``prefix-iii``.
+    ``count`` scenarios are drawn, index i from its own seeded stream and
+    named ``prefix-iii``.
     """
-    exp = cfg["experiment"]
-    horizon = _setting(exp, "horizon", float, "1.0")
 
     def build(index: int):
-        if "scenario" in cfg:
-            tree = make_tree(depth, horizon)
-            return scenario_from_config(cfg["scenario"], tree, name="configured-000")
+        if scenario is not None:
+            return scenario_from_config(scenario, make_tree(depth, horizon), name="configured-000")
         rng = _scenario_rng(seed, index)
         return random_scenario(rng, depth, horizon, name=f"{prefix}-{index:03d}", cadlag=cadlag)
 
-    return (1 if "scenario" in cfg else _count(exp, "count", count)), build
+    return (1 if scenario is not None else count), build
 
 
 def _map_ordered(fn, items, jobs: int) -> Iterator:
@@ -489,12 +494,10 @@ def _summary(out_dir: str, header: str, outcomes: list[tuple[bool, str]]) -> boo
     return all(ok for ok, _ in outcomes)
 
 
-def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
-    exp = cfg["experiment"]
-    method = exp.get("method", "both")
-    if method not in ("direct", "reduction", "both"):
-        raise ValueError(f"unknown method {method!r}")
-    count, build = _scenario_source(cfg, seed, _count(exp, "depth", 3), 12, "random", cadlag=False)
+def _run_solve(
+    out_dir, jobs, tol_scale, scenario, *, seed=0, depth=3, count=12, horizon=1.0, method="both"
+) -> bool:
+    count, build = _scenario_source(scenario, seed, depth, count, horizon, "random", cadlag=False)
 
     def solve(index: int):
         # Each worker builds the scenario it solves, so a batch never holds
@@ -554,12 +557,9 @@ def _run_solve(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> boo
     return _summary(out_dir, header, outcomes)
 
 
-def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
-    exp = cfg["experiment"]
-    depth = _count(exp, "depth", 3)
+def _run_oracle(out_dir, jobs, tol_scale, *, seed=0, depth=3, count=20) -> bool:
     if depth > ORACLE_DEPTH_CAP:
         raise ValueError(f"oracle checks are capped at depth {ORACLE_DEPTH_CAP}")
-    count = _count(exp, "count", 20)
 
     def work(index: int):
         rng = _scenario_rng(seed, index)
@@ -590,13 +590,12 @@ def _run_oracle(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bo
     return _summary(out_dir, "scenario,check,deviation,threshold,status", results)
 
 
-def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
-    exp = cfg["experiment"]
-    mode = exp.get("mode", "modified")
-    levels = _setting(exp, "levels", _numbers(int), "1,2,4,8,16,32,64")
+def _run_penalize(
+    out_dir, jobs, tol_scale, scenario, *, seed=0, depth=4, count=1, horizon=1.0, cadlag=False,
+    levels=(1, 2, 4, 8, 16, 32, 64), mode="modified",
+) -> bool:
     check_study(levels, mode)
-    cadlag = _setting(exp, "cadlag", _boolean, "false")
-    count, build = _scenario_source(cfg, seed, _count(exp, "depth", 4), 1, "study", cadlag)
+    count, build = _scenario_source(scenario, seed, depth, count, horizon, "study", cadlag)
 
     def work(index: int):
         scenario = build(index)
@@ -626,15 +625,11 @@ def _run_penalize(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> 
     return _summary(out_dir, header, [(ok, summary) for ok, _, summary in results])
 
 
-def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
-    exp = cfg["experiment"]
-    steps = _setting(exp, "steps", int, "16")
-    count = _count(exp, "paths", 20)
-    dimension = _setting(exp, "dimension", int, "1")
-    powers = _setting(exp, "powers", _numbers(float), "1,1.5,2")
-    if not all(1.0 <= p <= 2.0 for p in powers):
-        raise ValueError(f"powers must lie in [1, 2], got {powers}")
-    grid = TimeGrid(horizon=_setting(exp, "horizon", float, "1.0"), steps=steps)
+def _run_ito(
+    out_dir, jobs, tol_scale, *, seed=0, steps=16, paths=20, dimension=1, powers=(1.0, 1.5, 2.0),
+    horizon=1.0,
+) -> bool:
+    grid = TimeGrid(horizon=horizon, steps=steps)
     quad = make_function("quadratic", dimension)
 
     def work(index: int):
@@ -663,17 +658,13 @@ def _run_ito(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
             add(f"jump_terms_p{p:g}", worst, worst >= -EXACTNESS_TOL * tol_scale)
         return ok, serialize_path_csv(path), "\n".join(rows)
 
-    results = list(_map_ordered(work, range(count), jobs))
+    results = list(_map_ordered(work, range(paths), jobs))
     for index, (_, path_csv, _) in enumerate(results):
         _write_atomic(os.path.join(out_dir, f"path_{index:03d}.csv"), [path_csv])
     return _summary(out_dir, "path,check,value,status", [(ok, rows) for ok, _, rows in results])
 
 
-def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> bool:
-    exp = cfg["experiment"]
-    depth = _count(exp, "depth", 4)
-    count = _count(exp, "count", 25)
-
+def _run_compare(out_dir, jobs, tol_scale, *, seed=0, depth=4, count=25) -> bool:
     def work(index: int):
         rng = _scenario_rng(seed, index)
         if index % 2 == 0:
@@ -709,13 +700,41 @@ def _run_compare(cfg, out_dir: str, seed: int, jobs: int, tol_scale: float) -> b
     return _summary(out_dir, header, results)
 
 
+# verb: (runner, help line)
 _RUNNERS = {
-    "solve": _run_solve,
-    "penalize": _run_penalize,
-    "ito-check": _run_ito,
-    "oracle-check": _run_oracle,
-    "compare": _run_compare,
+    "solve": (_run_solve, "reflected solves with verification reports"),
+    "penalize": (_run_penalize, "penalization convergence studies"),
+    "ito-check": (_run_ito, "pathwise change-of-variables checks"),
+    "oracle-check": (_run_oracle, "envelope and stopped-reward brute-force checks"),
+    "compare": (_run_compare, "ordered-pair solution comparisons"),
 }
+
+
+def _settings(kind: str, sections: dict[str, dict[str, str]]) -> dict:
+    """The keywords of ``kind``'s runner from the config ``sections``, kind
+    removed: each ``[experiment]`` value parsed and checked through ``_KEYS``,
+    and the ``[scenario]`` section (None if absent) for a runner with a
+    ``scenario`` parameter.  A key the verb does not read raises, as does a
+    value that does not parse or fails its check."""
+    params = inspect.signature(_RUNNERS[kind][0]).parameters
+    keys = [name for name, p in params.items() if p.kind is p.KEYWORD_ONLY]
+    reads = {"experiment": keys, "scenario": SCENARIO_KEYS if "scenario" in params else ()}
+    settings = {"scenario": sections.get("scenario")} if "scenario" in params else {}
+    for name, section in sections.items():
+        for key, text in section.items():
+            if key not in reads.get(name, ()):
+                listed = ", ".join(reads.get(name, ())) or f"no [{name}] section"
+                raise ValueError(f"[{name}] {key} is not a setting of {kind}; it reads {listed}")
+            if name != "experiment":
+                continue
+            parse, ok, problem = _KEYS[key]
+            try:
+                settings[key] = parse(text)
+            except ValueError as exc:
+                raise ValueError(f"[experiment] {key} = {text!r} does not parse: {exc}") from None
+            if ok is not None and not ok(settings[key]):
+                raise ValueError(problem.format(key=key, value=settings[key]))
+    return settings
 
 
 def run_experiment(
@@ -738,15 +757,17 @@ def run_experiment(
     if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
         raise ValueError(f"tolerance scale must be finite and positive, got {tolerance_scale}")
     cfg = load_config(config_path)
-    kind = cfg["experiment"]["kind"]
+    sections = {name: dict(cfg[name]) for name in cfg.sections()}
+    kind = sections["experiment"].pop("kind", "")
+    if kind not in _RUNNERS:
+        raise ValueError(f"{config_path}: unknown kind {kind!r}, expected one of {tuple(_RUNNERS)}")
     if verb is not None and verb != kind:
         raise ValueError(f"config kind {kind!r} does not match the verb {verb!r}")
-    if seed is None:
-        seed = _setting(cfg["experiment"], "seed", int, "0")
-    if seed < 0:
-        raise ValueError(f"seed must be at least 0, got {seed}")
+    if seed is not None:
+        sections["experiment"]["seed"] = str(seed)
     os.makedirs(out_dir, exist_ok=True)
-    ok = _RUNNERS[kind](cfg, out_dir, int(seed), int(jobs), float(tolerance_scale))
+    settings = _settings(kind, sections)
+    ok = _RUNNERS[kind][0](out_dir, int(jobs), float(tolerance_scale), **settings)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -756,13 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Reflected-equation laboratory: deterministic batch experiments.",
     )
     sub = parser.add_subparsers(dest="verb", required=True)
-    for verb, text in (
-        ("solve", "reflected solves with verification reports"),
-        ("penalize", "penalization convergence studies"),
-        ("ito-check", "pathwise change-of-variables checks"),
-        ("oracle-check", "envelope and stopped-reward brute-force checks"),
-        ("compare", "ordered-pair solution comparisons"),
-    ):
+    for verb, (_, text) in _RUNNERS.items():
         cmd = sub.add_parser(verb, help=text)
         cmd.add_argument("--config", required=True, help="experiment config file")
         cmd.add_argument("--out-dir", default="results", help="artifact directory")

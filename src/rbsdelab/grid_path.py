@@ -20,7 +20,7 @@ class TimeGrid:
     Parameters
     ----------
     horizon : float
-        Terminal time T, strictly positive.
+        Terminal time T, at least ``steps`` times the smallest normal double.
     steps : int
         Number of intervals N, at least one.
     """
@@ -34,6 +34,9 @@ class TimeGrid:
         if int(self.steps) != self.steps or self.steps < 1:
             raise ValueError(f"steps must be a positive integer, got {self.steps}")
         object.__setattr__(self, "steps", int(self.steps))
+        # a zero or subnormal step overflows 1/dt and Z, which scales as 1/sqrt(dt)
+        if self.dt < np.finfo(float).tiny:
+            raise ValueError(f"horizon {self.horizon} gives a step {self.dt} below the normal range")
 
     @property
     def dt(self) -> float:

@@ -11,6 +11,7 @@ comparison tools require.
 from __future__ import annotations
 
 import configparser
+from collections.abc import Mapping
 from dataclasses import replace
 
 import numpy as np
@@ -22,6 +23,7 @@ from .rbsde import Scenario
 
 __all__ = [
     "DEFAULT_HORIZON",
+    "SCENARIO_KEYS",
     "Scenario",
     "make_tree",
     "random_process",
@@ -38,7 +40,6 @@ __all__ = [
     "perturbation_pair",
     "load_config",
     "scenario_from_config",
-    "parse_level_rows",
 ]
 
 DEFAULT_HORIZON = 1.0
@@ -325,106 +326,81 @@ def perturbation_pair(
 # configuration files
 
 
-def parse_level_rows(text: str, tree: TreeSpace, levels: int, key: str) -> list[np.ndarray]:
-    """Interpret ``a;b,c;...`` as one row per level, scalars broadcasting.
+# the keys of a [scenario] section; barrier_point and terminal are required
+SCENARIO_KEYS = (
+    "generator", "barrier_point", "barrier_right", "driver_point", "driver_right", "terminal", "bound"
+)
 
-    ``levels`` is the number of rows expected, starting at level 0; ``key``
-    names the config key in every error.
+
+def _row(text: str, label: str, nodes: int | None = None) -> np.ndarray:
+    """The comma-separated numbers of ``text``; ``label`` names them in every error.
+
+    With ``nodes`` given, the numbers must be finite, and a single one fills
+    a row of ``nodes`` entries; any other count but ``nodes`` raises.
     """
-    chunks = [chunk.strip() for chunk in text.split(";")]
-    if len(chunks) != levels:
-        raise ValueError(f"{key} expects {levels} level rows separated by ';', got {len(chunks)}")
-    rows = []
-    for i, chunk in enumerate(chunks):
-        values = _floats(chunk, f"{key} level row {i}")
-        if values.shape[0] == 1:
-            values = np.full(tree.n_nodes(i), values[0])
-        if values.shape[0] != tree.n_nodes(i):
-            raise ValueError(
-                f"{key} level row {i} needs 1 or {tree.n_nodes(i)} entries, got {values.shape[0]}"
-            )
-        rows.append(values)
-    return rows
-
-
-def _floats(text: str, key: str) -> np.ndarray:
     try:
-        return np.array([float(tok) for tok in text.split(",") if tok.strip()])
+        values = np.array([float(tok) for tok in text.split(",") if tok.strip()])
     except ValueError as exc:
-        raise ValueError(f"{key} is not numeric: {text!r}") from exc
+        raise ValueError(f"{label} is not numeric: {text!r}") from exc
+    if nodes is None:
+        return values
+    if not np.isfinite(values).all():
+        raise ValueError(f"{label} is not finite: {text!r}")
+    if values.shape[0] not in (1, nodes):
+        raise ValueError(f"{label} needs 1 or {nodes} entries, got {values.shape[0]}")
+    return np.full(nodes, values[0]) if values.shape[0] == 1 else values
 
 
-def _parse_leaves(text: str, tree: TreeSpace) -> np.ndarray:
-    values = _floats(text, "terminal")
-    if values.shape[0] == 1:
-        values = np.full(tree.n_nodes(tree.depth), values[0])
-    if values.shape[0] != tree.n_nodes(tree.depth):
-        raise ValueError(
-            f"terminal needs 1 or {tree.n_nodes(tree.depth)} entries, got {values.shape[0]}"
-        )
-    return values
+def _process(section: Mapping[str, str], tree: TreeSpace, name: str) -> AdaptedRegulatedProcess:
+    """The process of the ``name_point`` and ``name_right`` rows, ``a ; b, c``
+    with one row per level: point rows default to zero, right rows to the
+    point rows (right continuity)."""
+
+    def rows(key: str, levels: list[np.ndarray]) -> list[np.ndarray]:
+        if key not in section:
+            return levels
+        chunks = [chunk.strip() for chunk in section[key].split(";")]
+        if len(chunks) != len(levels):
+            raise ValueError(
+                f"{key} expects {len(levels)} level rows separated by ';', got {len(chunks)}"
+            )
+        return [_row(text, f"{key} level row {i}", tree.n_nodes(i)) for i, text in enumerate(chunks)]
+
+    point = rows(f"{name}_point", [np.zeros(tree.n_nodes(i)) for i in range(tree.depth + 1)])
+    return AdaptedRegulatedProcess.from_levels(tree, point, rows(f"{name}_right", point[:-1]))
 
 
 def scenario_from_config(
-    section: configparser.SectionProxy, tree: TreeSpace, name: str = "configured"
+    section: Mapping[str, str], tree: TreeSpace, name: str = "configured"
 ) -> Scenario:
-    """Build one explicit scenario from a config section.
+    """Build one explicit scenario from a config section with ``SCENARIO_KEYS``.
 
-    Recognized keys: ``generator``, ``barrier_point``, ``barrier_right``,
-    ``driver_point``, ``driver_right``, ``terminal``, ``bound``.  Missing
-    driver rows default to zero; missing right rows default to the point
-    rows (right continuity).
+    Missing driver rows default to zero and missing right rows to the point
+    rows; a ``bound`` holds one value per interval.
     """
-
-    def level_rows(key: str, levels: int) -> list[np.ndarray]:
-        return parse_level_rows(section[key], tree, levels, key)
-
+    for key in ("barrier_point", "terminal"):
+        if key not in section:
+            raise ValueError(f"scenario section needs {key}")
     gen = make_generator(section.get("generator", "zero"))
-    if "barrier_point" not in section:
-        raise ValueError("scenario section needs barrier_point")
-    bpoint = level_rows("barrier_point", tree.depth + 1)
-    if "barrier_right" in section:
-        bright = level_rows("barrier_right", tree.depth)
-    else:
-        bright = [row.copy() for row in bpoint[:-1]]
-    barrier = AdaptedRegulatedProcess.from_levels(tree, bpoint, bright)
-    if "driver_point" in section:
-        vpoint = level_rows("driver_point", tree.depth + 1)
-        if "driver_right" in section:
-            vright = level_rows("driver_right", tree.depth)
-        else:
-            vright = [row.copy() for row in vpoint[:-1]]
-        driver = AdaptedRegulatedProcess.from_levels(tree, vpoint, vright)
-    else:
-        driver = AdaptedRegulatedProcess.zeros(tree)
-    if "terminal" not in section:
-        raise ValueError("scenario section needs terminal")
-    terminal = _parse_leaves(section["terminal"], tree)
-    bound = None
-    if "bound" in section:
-        bound = _floats(section["bound"], "bound")
+    barrier, driver = _process(section, tree, "barrier"), _process(section, tree, "driver")
+    terminal = _row(section["terminal"], "terminal", tree.n_nodes(tree.depth))
+    bound = _row(section["bound"], "bound") if "bound" in section else None
     return Scenario(name, tree, terminal, gen, driver, barrier, bound=bound)
 
 
-_KINDS = ("solve", "penalize", "ito-check", "oracle-check", "compare")
-
-
 def load_config(path: str) -> configparser.ConfigParser:
-    """Read and validate an experiment config.
+    """Read an experiment config.
 
     Raises
     ------
     configparser.Error
         On malformed syntax (the parser reports the offending line).
     ValueError
-        On missing sections or an unknown experiment kind.
+        When the ``[experiment]`` section is missing.
     """
     parser = configparser.ConfigParser()
     with open(path, "r", encoding="utf-8") as handle:
         parser.read_file(handle, source=path)
     if "experiment" not in parser:
         raise ValueError(f"{path}: missing [experiment] section")
-    kind = parser["experiment"].get("kind", "")
-    if kind not in _KINDS:
-        raise ValueError(f"{path}: unknown kind {kind!r}, expected one of {_KINDS}")
     return parser

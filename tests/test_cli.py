@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 import itertools
 import re
 import shutil
@@ -16,7 +17,13 @@ from rbsdelab.bsde import SolverError
 from rbsdelab.cli import emit_convergence_table, fit_rate, main, run_experiment
 from rbsdelab.penalization import ConvergenceStudy, convergence_study
 from rbsdelab.rbsde import solve_reflected_direct
-from rbsdelab.scenarios import load_config, make_tree, random_scenario, scenario_from_config
+from rbsdelab.scenarios import (
+    SCENARIO_KEYS,
+    load_config,
+    make_tree,
+    random_scenario,
+    scenario_from_config,
+)
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -430,7 +437,7 @@ class TestPenalizeVerb:
 
     def test_configured_scenario_gives_one_study(self, tmp_path):
         text = CONFIGURED_SINGLE_STEP.replace("kind = solve", "kind = penalize")
-        config = write_config(tmp_path, text)
+        config = write_config(tmp_path, text.replace("method = direct\n", ""))
         out = tmp_path / "out"
         assert run_experiment(config, str(out)) == 0
         summary = read_rows(out / "summary.csv")
@@ -737,6 +744,18 @@ class TestConfiguredScenarios:
         assert run_experiment(write_config(tmp_path, text), str(out)) == 0
         assert read_rows(out / "summary.csv")[0]["status"] == "pass"
 
+    def test_driver_right_rows_alone_have_zero_point_rows(self, tmp_path):
+        # missing driver rows default to zero, also when driver_right is given
+        text = CONFIGURED_WITH_DRIVER.replace("driver_point = 0 ; 0.3, -0.1 ; 0.2\n", "")
+        text += "driver_right = 0 ; 5, 5\n"
+        outputs = []
+        for name, extra in (("implicit", ""), ("explicit", "driver_point = 0 ; 0 ; 0\n")):
+            out = tmp_path / name
+            assert run_experiment(write_config(tmp_path, text + extra, f"{name}.ini"), str(out)) == 0
+            outputs.append(tree_of_files(out))
+        assert outputs[0] == outputs[1]
+        assert read_rows(tmp_path / "implicit" / "summary.csv")[0]["scale"] == "5.0999999999999996"
+
     def test_a_bound_row_reaches_the_reduction(self, tmp_path, monkeypatch):
         bounds = []
         solve_via_reduction = cli.solve_via_reduction
@@ -865,6 +884,8 @@ class TestConfiguredScenarios:
             ("terminal", "-5", "terminal payoff fails to dominate the barrier"),
             ("terminal", "0.5, 1.0", "terminal needs 1 or 4 entries, got 2"),
             ("terminal", "0.5, x", "terminal is not numeric: '0.5, x'"),
+            ("terminal", "0.5, inf, 0, 0", "terminal is not finite: '0.5, inf, 0, 0'"),
+            ("driver_point", "0 ; nan, 0 ; 0.2", "driver_point level row 1 is not finite: 'nan, 0'"),
             ("bound", "-5, x", "bound is not numeric: '-5, x'"),
             ("kind", "simulate", "unknown kind 'simulate'"),
         ],
@@ -898,6 +919,40 @@ def test_readme_configs_run_as_written(tmp_path, text):
 
 def test_readme_has_a_config_for_every_verb():
     assert {config_kind(text) for text in README_CONFIGS} == set(cli._RUNNERS)
+
+
+README_KEY_TABLES = [
+    dict(re.findall(r"^\| `(\w+)` \| (.*?) \|", table, re.M))
+    for table in re.findall(
+        r"^\| key \| default \| accepted values \|\n\|[- |]+\n((?:\|.*\n)+)",
+        (Path(__file__).resolve().parents[1] / "README.md").read_text(),
+        re.M,
+    )
+]
+
+
+def runner_keys(verb):
+    """The [experiment] keys of ``verb`` besides kind, with their defaults."""
+    params = inspect.signature(cli._RUNNERS[verb][0]).parameters.values()
+    return {p.name: p.default for p in params if p.kind is p.KEYWORD_ONLY}
+
+
+def test_readme_key_tables_are_the_runner_keys_and_the_scenario_keys():
+    # one table per verb, in verb order, with the [scenario] table after solve's
+    solve, scenario, *others = README_KEY_TABLES
+    tables = dict(zip(cli._RUNNERS, [list(solve)] + [list(table) for table in others]))
+    assert tables == {verb: list(runner_keys(verb)) for verb in cli._RUNNERS}
+    assert list(scenario) == list(SCENARIO_KEYS)
+    assert set().union(*tables.values()) == set(cli._KEYS)
+
+
+@pytest.mark.parametrize("verb", list(cli._RUNNERS))
+def test_readme_key_tables_give_the_runner_defaults(verb):
+    solve, _, *others = README_KEY_TABLES
+    table = dict(zip(cli._RUNNERS, [solve, *others]))[verb]
+    for key, default in runner_keys(verb).items():
+        value = cli._KEYS[key][0](table[key].strip("`"))
+        assert value == (list(default) if isinstance(default, tuple) else default), key
 
 
 class TestErrorHandling:
@@ -1001,15 +1056,9 @@ class TestErrorHandling:
         ],
     )
     def test_a_count_below_one_is_a_usage_error(self, tmp_path, capsys, kind, key, value):
-        config = write_config(
-            tmp_path,
-            f"""\
-            [experiment]
-            kind = {kind}
-            depth = 2
-            {key} = {value}
-            """,
-        )
+        # ito-check reads no depth
+        depth = "" if kind == "ito-check" else "depth = 2\n"
+        config = write_config(tmp_path, f"[experiment]\nkind = {kind}\n{depth}{key} = {value}\n")
         out = tmp_path / "out"
         assert main([kind, "--config", config, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: {key} must be at least 1, got {value}\n"
@@ -1052,6 +1101,32 @@ class TestErrorHandling:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and key in err
         assert list(out.glob("*")) == []
+
+    @pytest.mark.parametrize(
+        "kind, section, text",
+        [
+            ("solve", "experiment", "[experiment]\nkind = solve\ndepth = 2\ndepht = 19\n"),
+            ("penalize", "experiment", "[experiment]\nkind = penalize\ndepth = 2\nlevles = 1,x\n"),
+            ("solve", "scenario", CONFIGURED_WITH_DRIVER + "bogus = 3\n"),
+            ("compare", "scenario", "[experiment]\nkind = compare\n[scenario]\nterminal = 0\n"),
+            ("solve", "scenaro", "[experiment]\nkind = solve\n[scenaro]\nterminal = 0\n"),
+        ],
+        ids=["experiment-depht", "experiment-levles", "scenario-bogus", "compare", "scenaro"],
+    )
+    def test_a_key_the_verb_does_not_read_is_a_usage_error(
+        self, tmp_path, capsys, monkeypatch, kind, section, text
+    ):
+        def no_work(*args, **kwargs):
+            raise AssertionError("work started")
+
+        for name in ("random_scenario", "scenario_from_config", "ordered_pair"):
+            monkeypatch.setattr(cli, name, no_work)
+        key = text.splitlines()[-1].split(" = ")[0]
+        out = tmp_path / "out"
+        assert main([kind, "--config", write_config(tmp_path, text), "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: [{section}] {key} is not a setting of {kind}; it reads ")
+        assert list(out.iterdir()) == []
 
     def test_verb_is_required(self):
         with pytest.raises(SystemExit):

@@ -11,7 +11,7 @@ class TestTimeGrid:
         assert grid.times()[0] == 0.0
         assert grid.times()[-1] == pytest.approx(2.5, abs=1e-15)
 
-    @pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -2)])
+    @pytest.mark.parametrize("horizon,steps", [(0.0, 4), (-1.0, 4), (1.0, 0), (1.0, -2), (5e-324, 1), (1e-308, 4)])
     def test_rejects_degenerate_grids(self, horizon, steps):
         with pytest.raises(ValueError):
             TimeGrid(horizon, steps)
