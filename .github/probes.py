@@ -7,7 +7,8 @@ checkout), PROBE one of the names in ``PROBES``, and OUT a path prefix for
 the probe's configs and artifacts.  Each probe runs in its own interpreter,
 because ``ru_maxrss`` is the peak of the whole process.  The one result
 line goes to stdout; it ends with the sha256 of the probe's ``results.csv``
-(of its study tables and summaries, for ``penalize``), so a base and a head
+(of its study tables and summaries, for ``penalize``; of its path tables and
+summary, for ``ito-check``), so a base and a head
 line show at a glance whether the bytes moved.  The exit status is the
 CLI's, except with ``--base``, which reports on a pull request's base and
 never fails.
@@ -64,6 +65,18 @@ def penalize(main, out):
     return codes, artifacts
 
 
+def ito_check(main, out):
+    config = f"{out}.ini"
+    with open(config, "w") as handle:
+        handle.write(
+            "[experiment]\nkind = ito-check\nsteps = 256\npaths = 24\ndimension = 3\n"
+            "powers = 1,1.5,2\nseed = 1\n"
+        )
+    code = main(["ito-check", "--config", config, "--out-dir", out, "--jobs", "1"])
+    paths = sorted(glob.glob(os.path.join(glob.escape(out), "path_*.csv")))
+    return [code], paths + [f"{out}/summary.csv"]
+
+
 # name: (run, line label with "{at}" where " at the base" goes, whether the exit codes print as a list);
 # run returns the exit codes and the artifact files whose sha256 the line reports
 PROBES = {
@@ -77,6 +90,11 @@ PROBES = {
         penalize,
         "penalize studies{at} (depth 14, 4 scenarios, levels 1..4096, modified then classic, in-process)",
         True,
+    ),
+    "ito-check": (
+        ito_check,
+        "ito-check paths{at} (steps 256, 24 paths, dimension 3, powers 1,1.5,2, in-process)",
+        False,
     ),
 }
 

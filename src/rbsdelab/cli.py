@@ -14,7 +14,6 @@ import contextlib
 import dataclasses
 import functools
 import inspect
-import math
 import os
 import sys
 import tempfile
@@ -136,10 +135,15 @@ _KEYS = {
 
 @contextlib.contextmanager
 def _named(label: str):
-    """Raise a solver or data error inside the block as a RuntimeError led by ``label``."""
+    """Raise a solver or data error inside the block as a RuntimeError led by ``label``.
+
+    Floating-point overflow and invalid operations are errors in the block,
+    so data too large for the solvers is named, not carried on as inf or nan.
+    """
     try:
-        yield
-    except (SolverError, ValueError) as exc:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except (SolverError, ValueError, FloatingPointError) as exc:
         raise RuntimeError(f"{label}: {exc}") from exc
 
 
@@ -495,7 +499,7 @@ def _summary(out_dir: str, header: str, outcomes: list[tuple[bool, str]]) -> boo
 
 
 def _run_solve(
-    out_dir, jobs, tol_scale, scenario, *, seed=0, depth=3, count=12, horizon=1.0, method="both"
+    out_dir, jobs, scenario, *, seed=0, depth=3, count=12, horizon=1.0, method="both"
 ) -> bool:
     count, build = _scenario_source(scenario, seed, depth, count, horizon, "random", cadlag=False)
 
@@ -514,7 +518,7 @@ def _run_solve(
                     other = solve_via_reduction(*data, bound=scenario.bound)
                     gap = max(solution_distance(sol, other).values())
             report = verify_solution(sol, *data)
-        scale = max(scenario.scale(), sol.value.scale()) * tol_scale
+        scale = max(scenario.scale(), sol.value.scale())
         ok = (
             report.dynamics_residual <= RESIDUAL_TOL * scale
             and abs(report.minimality_continuous) <= RESIDUAL_TOL * scale
@@ -557,7 +561,7 @@ def _run_solve(
     return _summary(out_dir, header, outcomes)
 
 
-def _run_oracle(out_dir, jobs, tol_scale, *, seed=0, depth=3, count=20) -> bool:
+def _run_oracle(out_dir, jobs, *, seed=0, depth=3, count=20) -> bool:
     if depth > ORACLE_DEPTH_CAP:
         raise ValueError(f"oracle checks are capped at depth {ORACLE_DEPTH_CAP}")
 
@@ -581,7 +585,7 @@ def _run_oracle(out_dir, jobs, tol_scale, *, seed=0, depth=3, count=20) -> bool:
                 )
             else:
                 dev = stopping_representation_check(solve_reflected_direct(*data), *data)
-        threshold = RESIDUAL_TOL * scenario.scale() * tol_scale
+        threshold = RESIDUAL_TOL * scenario.scale()
         ok = dev <= threshold
         row = ",".join([scenario.name, check, _fmt(dev), _fmt(threshold), _status(ok)])
         return ok, row
@@ -591,7 +595,7 @@ def _run_oracle(out_dir, jobs, tol_scale, *, seed=0, depth=3, count=20) -> bool:
 
 
 def _run_penalize(
-    out_dir, jobs, tol_scale, scenario, *, seed=0, depth=4, count=1, horizon=1.0, cadlag=False,
+    out_dir, jobs, scenario, *, seed=0, depth=4, count=1, horizon=1.0, cadlag=False,
     levels=(1, 2, 4, 8, 16, 32, 64), mode="modified",
 ) -> bool:
     check_study(levels, mode)
@@ -613,7 +617,7 @@ def _run_penalize(
         worst_mono = max(row.monotonicity_violation for row in study.rows)
         gaps = [row.sup_gap_y for row in study.rows]
         rate = fit_rate(levels, gaps)
-        ok = worst_mono <= RESIDUAL_TOL * scenario.scale() * tol_scale
+        ok = worst_mono <= RESIDUAL_TOL * scenario.scale()
         cells = [scenario.name, str(int(levels[-1])), _fmt(gaps[-1]), _fmt(worst_mono)]
         summary = ",".join(cells + ["" if rate is None else _fmt(rate), _status(ok)])
         return ok, table, summary
@@ -626,7 +630,7 @@ def _run_penalize(
 
 
 def _run_ito(
-    out_dir, jobs, tol_scale, *, seed=0, steps=16, paths=20, dimension=1, powers=(1.0, 1.5, 2.0),
+    out_dir, jobs, *, seed=0, steps=16, paths=20, dimension=1, powers=(1.0, 1.5, 2.0),
     horizon=1.0,
 ) -> bool:
     grid = TimeGrid(horizon=horizon, steps=steps)
@@ -646,16 +650,16 @@ def _run_ito(
             rows.append(",".join([name, check, _fmt(value), _status(passed)]))
 
         quad_res = float(np.max(np.abs(ito_residual(path, quad))))
-        add("quadratic_residual", quad_res, quad_res <= EXACTNESS_TOL * tol_scale)
+        add("quadratic_residual", quad_res, quad_res <= EXACTNESS_TOL)
         if dimension == 1:
             prod_res = float(np.max(np.abs(product_residual(path, partner))))
-            add("product_residual", prod_res, prod_res <= EXACTNESS_TOL * tol_scale)
+            add("product_residual", prod_res, prod_res <= EXACTNESS_TOL)
         for p in powers:
-            holds, slack = cor4_inequality_check(path, p, tol=SLACK_TOL * tol_scale)
+            holds, slack = cor4_inequality_check(path, p, tol=SLACK_TOL)
             add(f"tail_bound_p{p:g}", slack, holds)
             jminus, jplus = power_jump_terms(path, p)
             worst = float(min(np.min(jminus), np.min(jplus)))
-            add(f"jump_terms_p{p:g}", worst, worst >= -EXACTNESS_TOL * tol_scale)
+            add(f"jump_terms_p{p:g}", worst, worst >= -EXACTNESS_TOL)
         return ok, serialize_path_csv(path), "\n".join(rows)
 
     results = list(_map_ordered(work, range(paths), jobs))
@@ -664,7 +668,7 @@ def _run_ito(
     return _summary(out_dir, "path,check,value,status", [(ok, rows) for ok, _, rows in results])
 
 
-def _run_compare(out_dir, jobs, tol_scale, *, seed=0, depth=4, count=25) -> bool:
+def _run_compare(out_dir, jobs, *, seed=0, depth=4, count=25) -> bool:
     def work(index: int):
         rng = _scenario_rng(seed, index)
         if index % 2 == 0:
@@ -673,7 +677,7 @@ def _run_compare(out_dir, jobs, tol_scale, *, seed=0, depth=4, count=25) -> bool
             first, second = equal_barrier_pair(rng, depth, name=f"pair-{index:03d}")
         with _named(f"pair {index}"):
             report = compare_solutions(first, second)
-        scale = max(first.scale(), second.scale()) * tol_scale
+        scale = max(first.scale(), second.scale())
         if not report.valid:
             row = f"pair-{index:03d},invalid,{report.reason or ''},,,,,{_status(False)}"
             return False, row
@@ -742,20 +746,16 @@ def run_experiment(
     out_dir: str,
     seed: int | None = None,
     jobs: int = 1,
-    tolerance_scale: float = 1.0,
     verb: str | None = None,
 ) -> int:
     """Execute one configured experiment and write its artifacts.
 
     Returns the process exit status: zero when every asserted invariant
-    passed, one otherwise.  Config and numerical errors raise, as do a
-    worker count below one and a tolerance scale that is not a finite
-    positive number.
+    passed, one otherwise.  Config and numerical errors raise, as does a
+    worker count below one.
     """
     if int(jobs) < 1:
         raise ValueError(f"jobs must be at least 1, got {jobs}")
-    if not (math.isfinite(tolerance_scale) and tolerance_scale > 0.0):
-        raise ValueError(f"tolerance scale must be finite and positive, got {tolerance_scale}")
     cfg = load_config(config_path)
     sections = {name: dict(cfg[name]) for name in cfg.sections()}
     kind = sections["experiment"].pop("kind", "")
@@ -767,7 +767,7 @@ def run_experiment(
         sections["experiment"]["seed"] = str(seed)
     os.makedirs(out_dir, exist_ok=True)
     settings = _settings(kind, sections)
-    ok = _RUNNERS[kind][0](out_dir, int(jobs), float(tolerance_scale), **settings)
+    ok = _RUNNERS[kind][0](out_dir, int(jobs), **settings)
     return EXIT_OK if ok else EXIT_FAIL
 
 
@@ -783,12 +783,6 @@ def build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--out-dir", default="results", help="artifact directory")
         cmd.add_argument("--seed", type=int, default=None, help="override the config seed")
         cmd.add_argument("--jobs", type=int, default=1, help="parallel scenario workers")
-        cmd.add_argument(
-            "--tolerance-scale",
-            type=float,
-            default=1.0,
-            help="multiplier on every pass/fail threshold",
-        )
     return parser
 
 
@@ -800,7 +794,6 @@ def main(argv: list[str] | None = None) -> int:
             args.out_dir,
             seed=args.seed,
             jobs=args.jobs,
-            tolerance_scale=args.tolerance_scale,
             verb=args.verb,
         )
     except (ValueError, RuntimeError, OSError, configparser.Error) as exc:

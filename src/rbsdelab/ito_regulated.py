@@ -155,7 +155,9 @@ def make_function(spec: str, dimension: int) -> SmoothFunctionSpec:
     """Registry of smooth test functions.
 
     Supported names: ``quadratic``, ``cubic``, ``sin_sum``, ``power:<p>``
-    (the p-th power of the euclidean norm, valid away from the origin).
+    (the p-th power of the euclidean norm).  The norm power's gradient
+    p |x|^{p-1} sgn(x) and Hessian p |x|^{p-2} ((p-2) sgn sgn^T + I) read
+    zero at the origin, by the convention sgn(0) = 0.
     """
     name = spec.strip()
     d = int(dimension)
@@ -193,19 +195,17 @@ def make_function(spec: str, dimension: int) -> SmoothFunctionSpec:
     if name.startswith("power:"):
         p = float(name.split(":", 1)[1])
 
-        def fn(x: np.ndarray) -> np.ndarray:
-            return np.linalg.norm(x, axis=1) ** p
-
         def grad(x: np.ndarray) -> np.ndarray:
-            r = np.linalg.norm(x, axis=1)[:, None]
-            return p * r ** (p - 2.0) * x
+            _, r, s = _polar(x)
+            return p * r[:, None] ** (p - 1.0) * s
 
         def hess(x: np.ndarray) -> np.ndarray:
-            r = np.linalg.norm(x, axis=1)[:, None, None]
-            outer = x[:, :, None] * x[:, None, :]
-            return p * r ** (p - 4.0) * ((p - 2.0) * outer + r * r * np.eye(d))
+            live, r, s = _polar(x)
+            outer = s[:, :, None] * s[:, None, :]
+            curved = p * r[:, None, None] ** (p - 2.0) * ((p - 2.0) * outer + np.eye(d))
+            return np.where(live[:, None, None], curved, 0.0)
 
-        return SmoothFunctionSpec(name, d, fn, grad, hess)
+        return SmoothFunctionSpec(name, d, lambda x: np.linalg.norm(x, axis=1) ** p, grad, hess)
     raise ValueError(f"unknown smooth function {spec!r}")
 
 
@@ -327,23 +327,13 @@ def _power_grad_dot(x: np.ndarray, p: float, delta: np.ndarray) -> np.ndarray:
     return np.where(live, p * r ** (p - 1.0) * np.sum(s * delta, axis=1), 0.0)
 
 
-def _interval_curvature(
-    x: np.ndarray, c: np.ndarray, p: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """|x|^{p-2} (zero at the origin), |c|^2 and <sgn(x), c>^2 row by row."""
-    live, r, s = _polar(x)
-    along = np.sum(s * c, axis=1)
-    return np.where(live, r ** (p - 2.0), 0.0), np.sum(c * c, axis=1), along * along
-
-
-def power_residual(
-    path: DiscreteSemimartingalePath, p: float, margin: float = 0.0
-) -> np.ndarray:
+def power_residual(path: DiscreteSemimartingalePath, p: float, margin: float = 0.0) -> np.ndarray:
     """Expansion defect for the p-th power of the norm, p in [1, 2].
 
-    For p = 1 the defect's continuous part estimates the increasing process
-    that the identity asserts to exist without naming; it is reported, not
-    asserted, beyond nonnegativity and monotonicity.
+    It is :func:`ito_residual` of ``make_function("power:<p>")``.  For p = 1
+    the defect's continuous part estimates the increasing process that the
+    identity asserts to exist without naming; it is reported, not asserted,
+    beyond nonnegativity and monotonicity.
 
     Parameters
     ----------
@@ -360,30 +350,32 @@ def power_residual(
         raise ValueError(f"power must lie in [1, 2], got {p}")
     if p < 2.0 and margin > 0.0 and path.min_abs() < margin:
         raise ValueError("path approaches the origin closer than the requested margin")
+    return ito_residual(path, make_function(f"power:{float(p)!r}", path.dimension))
+
+
+def _power_steps(path: DiscreteSemimartingalePath, p: float) -> tuple[np.ndarray, ...]:
+    """Per-step table of the norm power along the path, p in [1, 2].
+
+    The right values at t_0..t_{n-1}; the powers at the points, at those
+    right values and at the left limits at t_1..t_n; the right jump's
+    gradient part and convex correction at t_i; the left jump's gradient
+    atom and convex correction at t_{i+1}.
+    """
+    if not 1.0 <= p <= 2.0:
+        raise ValueError(f"power must lie in [1, 2], got {p}")
     n = path.grid.steps
     point, right, left = path.sample_values()
-    jminus, jplus = power_jump_terms(path, p)
-    c = path.cont
-    weight, c2, along2 = _interval_curvature(right[:n], c, p)
-    terms = np.column_stack(
-        [
-            # right jump at t_i: explicit gradient part plus convex remainder
-            _power_grad_dot(point[:n], p, path.right_jumps[:n]),
-            jplus,
-            # open interval: gradient sum and quadratic-variation surrogate
-            _power_grad_dot(right[:n], p, c),
-            0.5 * p * weight * ((2.0 - p) * (c2 - along2) + (p - 1.0) * c2),
-            # left jump at t_{i+1}: gradient atom plus convex remainder
-            _power_grad_dot(left[1:], p, path.left_jumps[1:]),
-            jminus,
-        ]
-    )
-    return _defect(np.linalg.norm(point, axis=1) ** p, terms)
+    powers = np.linalg.norm(point, axis=1) ** p
+    right_powers = np.linalg.norm(right[:n], axis=1) ** p
+    left_powers = np.linalg.norm(left[1:], axis=1) ** p
+    gplus = _power_grad_dot(point[:n], p, path.right_jumps[:n])
+    atoms = _power_grad_dot(left[1:], p, path.left_jumps[1:])
+    jplus = right_powers - powers[:n] - gplus
+    jminus = powers[1:] - left_powers - atoms
+    return right[:n], powers, right_powers, left_powers, gplus, jplus, atoms, jminus
 
 
-def power_jump_terms(
-    path: DiscreteSemimartingalePath, p: float
-) -> tuple[np.ndarray, np.ndarray]:
+def power_jump_terms(path: DiscreteSemimartingalePath, p: float) -> tuple[np.ndarray, np.ndarray]:
     """Convex jump corrections of the norm-power expansion, per instant.
 
     Entry i of the first array is the left-jump correction at t_{i+1}; of
@@ -391,21 +383,7 @@ def power_jump_terms(
     subtracted and nonnegative by convexity, so their running sums are the
     two increasing jump series.
     """
-    if not 1.0 <= p <= 2.0:
-        raise ValueError(f"power must lie in [1, 2], got {p}")
-    n = path.grid.steps
-    point, right, left = path.sample_values()
-    powers = np.linalg.norm(point, axis=1) ** p
-    jplus = (
-        np.linalg.norm(right[:n], axis=1) ** p
-        - powers[:n]
-        - _power_grad_dot(point[:n], p, path.right_jumps[:n])
-    )
-    jminus = (
-        powers[1:]
-        - np.linalg.norm(left[1:], axis=1) ** p
-        - _power_grad_dot(left[1:], p, path.left_jumps[1:])
-    )
+    *_, jplus, _, jminus = _power_steps(path, p)
     return jminus, jplus
 
 
@@ -461,22 +439,19 @@ def cor4_inequality_check(
     times (all of them when ``t`` is None) and whether it clears ``-tol``
     at path scale.
     """
-    if not 1.0 <= p <= 2.0:
-        raise ValueError(f"power must lie in [1, 2], got {p}")
     n = path.grid.steps
     if t is not None and not 0 <= int(t) <= n:
         raise ValueError(f"time index {int(t)} outside the grid")
-    point, right, left = path.sample_values()
-    powers = np.linalg.norm(point, axis=1) ** p
-    jminus, jplus = power_jump_terms(path, p)
+    right, powers, right_powers, left_powers, gplus, jplus, atoms, jminus = _power_steps(path, p)
     c = path.cont
-    lin = _power_grad_dot(right[:n], p, c)
+    lin = _power_grad_dot(right, p, c)
     # right[i] + c[i] is left[i + 1] bit for bit
-    gap = np.linalg.norm(left[1:], axis=1) ** p - np.linalg.norm(right[:n], axis=1) ** p - lin
-    weight, c2, along2 = _interval_curvature(right[:n], c, p)
-    bracket = gap - 0.5 * p * (2.0 - p) * weight * (c2 - along2)
-    gplus = _power_grad_dot(point[:n], p, path.right_jumps[:n])
-    atoms = _power_grad_dot(left[1:], p, path.left_jumps[1:])
+    gap = left_powers - right_powers - lin
+    live, r, s = _polar(right)
+    along = np.sum(s * c, axis=1)
+    weight = np.where(live, r ** (p - 2.0), 0.0)
+    c2 = np.sum(c * c, axis=1)
+    bracket = gap - 0.5 * p * (2.0 - p) * weight * (c2 - along * along)
 
     # tails[k, tau] sums row k of the terms over the steps from tau onward
     tails = np.zeros((6, n + 1))

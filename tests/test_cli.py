@@ -998,30 +998,68 @@ class TestErrorHandling:
         code = main(["solve", "--config", config, "--out-dir", str(tmp_path / "o")])
         assert code == 2
 
-    @pytest.mark.parametrize(
-        "flag, value",
-        [
-            ("--jobs", "0"),
-            ("--jobs", "-3"),
-            ("--tolerance-scale", "inf"),
-            ("--tolerance-scale", "0"),
-            ("--tolerance-scale", "-1"),
-            ("--tolerance-scale", "nan"),
-        ],
-    )
-    def test_invalid_jobs_or_tolerance_scale_is_a_usage_error(
-        self, tmp_path, monkeypatch, capsys, flag, value
-    ):
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_invalid_jobs_is_a_usage_error(self, tmp_path, monkeypatch, capsys, jobs):
         def no_pool(*args, **kwargs):
             raise AssertionError("a worker pool was started")
 
         monkeypatch.setattr(cli, "ThreadPoolExecutor", no_pool)
         config = write_config(tmp_path, RANDOM_BATCH)
         out = tmp_path / "o"
-        code = main(["solve", "--config", config, "--out-dir", str(out), flag, value])
+        code = main(["solve", "--config", config, "--out-dir", str(out), "--jobs", jobs])
         assert code == 2
         assert "error:" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_there_is_no_tolerance_scale_flag(self, tmp_path, capsys):
+        config = write_config(tmp_path, RANDOM_BATCH)
+        out = tmp_path / "o"
+        with pytest.raises(SystemExit) as exc:
+            main(["solve", "--config", config, "--out-dir", str(out), "--tolerance-scale", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --tolerance-scale 2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "kind, terminal, generator, code",
+        [
+            ("solve", "1e308", "monotone_cubic:0.2", 2),
+            ("solve", "1e308", "zero", 2),
+            ("solve", "1e200", "monotone_cubic:0.2", 2),
+            ("solve", "1e200", "zero", 0),
+            ("penalize", "1e308", "monotone_cubic:0.2", 2),
+            ("penalize", "1e308", "zero", 2),
+            ("penalize", "1e200", "zero", 0),
+        ],
+    )
+    # under --jobs 2 the scenario runs on a pool thread, with its own errstate
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_overflow_in_a_scenario_exits_two_and_names_it(
+        self, tmp_path, capsys, kind, terminal, generator, code, jobs
+    ):
+        config = write_config(
+            tmp_path,
+            f"""\
+            [experiment]
+            kind = {kind}
+            depth = 2
+
+            [scenario]
+            barrier_point = 0 ; 0, 0 ; 0, 0, 0, 0
+            terminal = {terminal}
+            generator = {generator}
+            """,
+        )
+        out = tmp_path / "out"
+        # pytest turns every RuntimeWarning into an error, so none was emitted
+        assert main([kind, "--config", config, "--out-dir", str(out), "--jobs", jobs]) == code
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error: scenario configured-000: overflow encountered in ")
+            assert sorted(out.iterdir()) == []
+        else:
+            assert err == ""
+            assert (out / "summary.csv").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
     @pytest.mark.parametrize("kind", ["solve", "penalize"])

@@ -86,6 +86,18 @@ class TestFunctionRegistry:
         points = rng.uniform(0.5, 2.0, (16, 2))
         check_consistency(spec, points)
 
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.0])
+    @pytest.mark.parametrize("dimension", [1, 2, 3])
+    def test_norm_power_derivatives_read_zero_at_the_origin(self, p, dimension):
+        spec = make_function(f"power:{p!r}", dimension)
+        origin = np.zeros((2, dimension))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values, grads, hessians = spec.value(origin), spec.gradient(origin), spec.hessian(origin)
+        np.testing.assert_array_equal(values, np.zeros(2))
+        np.testing.assert_array_equal(grads, np.zeros((2, dimension)))
+        np.testing.assert_array_equal(hessians, np.zeros((2, dimension, dimension)))
+
     def test_one_dimensional_square(self):
         spec = make_function("power:2", 1)
         np.testing.assert_array_equal(spec.value(np.array([-3.0])), [9.0])
@@ -197,6 +209,14 @@ class TestPowerResidual:
             out = power_residual(path, 2.0)
             scale = max(1.0, path.max_abs()) ** 2
             assert float(np.max(np.abs(out))) <= 1e-12 * scale
+
+    @pytest.mark.parametrize("p", [1.0, 1.25, 1.5, 2.0])
+    def test_is_the_general_expansion_of_the_norm_power(self, p, rng):
+        paths = [origin_path()]
+        paths += [random_path(grid(32), d, rng, jump_rate=0.5) for d in (1, 2, 3)]
+        for path in paths:
+            spec = make_function(f"power:{p!r}", path.dimension)
+            assert power_residual(path, p).tobytes() == ito_residual(path, spec).tobytes()
 
     @pytest.mark.parametrize("p", [0.5, 2.5])
     def test_rejects_powers_outside_the_range(self, p, rng):
